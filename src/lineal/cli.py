@@ -3,7 +3,8 @@
 Machine-readable output (JSON reports, generated graphs, CSV sweeps) goes to
 stdout or --output; diagnostics go to stderr. Exit codes: 0 yes, 1 no,
 2 undecided (budget, oracle refusal, or a reduced-but-unsolved instance),
-64 usage error, 65 parse error.
+64 usage error, 65 parse error, 70 internal error (an unexpected exception;
+never read as an answer).
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import json
 import os
 import sys
 import time
+import traceback
 
 from .formats import (
     GraphParseError,
@@ -53,6 +55,7 @@ EX_NO = 1
 EX_UNDECIDED = 2
 EX_USAGE = 64
 EX_PARSE = 65
+EX_INTERNAL = 70
 
 ORACLE_LIMIT_ENV = "LINEAL_ORACLE_LIMIT"
 
@@ -132,14 +135,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _budget(args) -> SolverBudget:
+    """Budget from the flags; omitted ones take SolverBudget's defaults.
+
+    Given values pass through unchanged, so SolverBudget rejects zero or
+    negative ones as a usage error.
+    """
     limit = getattr(args, "oracle_limit", None)
     if limit is None:
         env = os.environ.get(ORACLE_LIMIT_ENV)
         limit = int(env) if env else ORACLE_LIMIT_DEFAULT
+    given = {
+        "max_tuple_count": getattr(args, "budget_tuples", None),
+        "time_limit": getattr(args, "time_limit", None),
+    }
     return SolverBudget(
-        max_tuple_count=getattr(args, "budget_tuples", None) or 100_000_000,
-        time_limit=getattr(args, "time_limit", None) or 300.0,
-        oracle_vertex_limit=limit,
+        oracle_vertex_limit=limit, **{k: v for k, v in given.items() if v is not None}
     )
 
 
@@ -243,6 +253,8 @@ def cmd_solve(args, force_oracle: bool = False) -> int:
     except BudgetExceeded as exc:
         report["outcome"] = "undecided"
         report["reason"] = str(exc)
+        if exc.kernel is not None:
+            report["kernel"] = _kernel_stats(loaded.graph, exc.kernel)
     t2 = time.perf_counter()
     if decision is not None:
         report["outcome"] = "yes" if decision.answer else "no"
@@ -368,7 +380,7 @@ def cmd_bench(args) -> int:
                 answer = "undecided"
                 try:
                     if variant in (Variant.DUAL_MIN_LLT, Variant.DUAL_MAX_LLT):
-                        decision, _ = solve_dual_fpt_with_kernel(inst, budget)
+                        decision, _ = solve_dual_fpt_with_kernel(inst, budget, kernel=outcome)
                         answer = "yes" if decision.answer else "no"
                     elif outcome.instance.graph.vertex_count <= budget.oracle_vertex_limit:
                         decision = solve_exact_oracle(outcome.instance, budget)
@@ -436,6 +448,10 @@ def run_command(argv: list[str]) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
+    except Exception as exc:  # a crash must never come out as an answer
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return EX_INTERNAL
 
 
 def main() -> None:

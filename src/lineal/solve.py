@@ -10,6 +10,33 @@ Extending a prefix by w is possible exactly when w has a neighbor on the
 simulation stack and none among the already-popped vertices, which keeps the
 walk equivalent to simulating every tuple from scratch.
 
+Four prunings cut the walk. Each drops only prefixes that no accepting
+tuple extends, or mirror images of searched ones, so the lexicographically
+first accepting tuple is unchanged:
+
+* Twin symmetry breaking. Twins (vertices with the same neighborhood) are
+  never adjacent, and swapping two of them is an automorphism fixing every
+  prefix that contains neither. So a vertex is only tried, as root or as an
+  extension, once its next lower twin is already in the prefix; every
+  skipped subtree mirrors one that is searched. If the first accepting
+  tuple used w while a lower twin w' was still unused, swapping w and w'
+  would give a smaller accepting tuple, so that tuple is never skipped.
+* Shut vertices. A vertex cut off the stack is finished: no vertex added
+  later is its descendant, ancestor or neighbor. So an outside neighbor x
+  of a finished vertex v is shut out for good. The tuple neighbors of x
+  must end up on one root-to-leaf path together with v (dual-min: they
+  bound x's outside component; dual-max: they are all of x's neighbors),
+  so no vertex added once v is finished, the one whose extension cuts v
+  included, may be adjacent to x.
+* Pop-time leaf test (dual-min). A finished tuple vertex without a tuple
+  child ends up a tuple leaf, so it needs a neighbor outside the tuple to
+  hang something below it. Only the newest vertex can be childless when it
+  is cut, and any extension not adjacent to it cuts it, so a vertex with no
+  neighbor outside the prefix is never added.
+* Last vertex covers (dual-max). Everything outside the tuple must be
+  independent, so the vertex completing a tuple must be an end of every
+  edge still outside the prefix.
+
 Tuple prefixes could be partitioned across workers; the implementation is
 sequential and reports the lexicographically first accepting tuple, which is
 the contract partitioned workers would have to preserve.
@@ -38,8 +65,11 @@ from .trees import (
     RootedSpanningTree,
     _components_chain_ok,
     _forced_runs,
+    _has_outside_neighbor,
     _leaves_have_outside_neighbor,
-    _outside_is_independent_with_chains,
+    _outside_edge,
+    _outside_is_independent,
+    _outside_sees_chains,
     dfs_any,
     is_dfs_tree,
 )
@@ -72,32 +102,77 @@ class SolverBudget:
 
 
 class BudgetExceeded(RuntimeError):
-    """The search ran out of tuple or time budget before deciding."""
+    """The search ran out of tuple or time budget before deciding.
+
+    ``kernel`` is the kernelization outcome when the search ran on a kernel.
+    """
 
     def __init__(self, phase: str):
         super().__init__(f"undecided: {phase} budget exhausted")
         self.phase = phase
+        self.kernel: KernelOutcome | None = None
 
 
-def _tuple_search(g: Graph, k: int, check, budget: SolverBudget):
-    """Walk all viable ordered k-tuples of distinct vertices, ascending.
+def _twin_links(g: Graph) -> list[int]:
+    """prev_twin[w]: the next lower vertex with w's neighborhood, or -1."""
+    last: dict[frozenset[int], int] = {}
+    prev = []
+    for w in range(g.vertex_count):
+        nw = g.neighbor_set(w)
+        prev.append(last.get(nw, -1))
+        last[nw] = w
+    return prev
+
+
+def _tuple_search(
+    g: Graph,
+    k: int,
+    check,
+    budget: SolverBudget,
+    *,
+    all_internal: bool = False,
+    cover: bool = False,
+):
+    """Walk the viable ordered k-tuples of distinct vertices, ascending.
 
     Maintains the forced-DFS state of the current prefix: the live stack,
-    the set of popped (finished) vertices, and parents. `check` runs on each
-    complete tuple's tree and returns a witness or None; the first witness
-    wins, which is the lexicographically smallest accepting tuple.
+    the parents, and for each vertex how many finished neighbors it has
+    (`shut`, counted while it is outside the prefix) and how many shut
+    neighbors (`near`). `check` runs on each complete tuple (root, live
+    parent map, order) and returns a witness or None; it must copy what it
+    keeps. The first witness wins, which is the lexicographically smallest
+    accepting tuple.
+
+    Skips twins without their next lower twin in the prefix, and shut
+    vertices and their neighbors (see the module docstring). With
+    `all_internal` (dual-min) a vertex without a neighbor outside the
+    prefix is not added; with `cover` (dual-max) the last vertex must be an
+    end of the first edge still outside the prefix. The stack and the
+    counts are only kept for prefixes that grow on.
     """
     n = g.vertex_count
     adj = g.adjacency
     nbr = g._neighbor_sets
+    prev_twin = _twin_links(g)
     deadline = time.perf_counter() + budget.time_limit
     visits = 0
 
     parent: dict[int, int | None] = {}
     order: list[int] = []
     stack: list[int] = []
-    popped: set[int] = set()
+    shut = [0] * n  # finished neighbors of a vertex outside the prefix
+    near = [0] * n  # shut neighbors of a vertex
     found: list = []
+
+    def finish(cut: list[int], step: int) -> None:
+        """Count the cut vertices as finished (step 1), or undo that (step -1)."""
+        for v in cut:
+            for x in adj[v]:
+                if x not in parent:
+                    shut[x] += step
+                    if shut[x] == (step > 0):  # x was just shut, or just reopened
+                        for y in adj[x]:
+                            near[y] += step
 
     def descend() -> bool:
         nonlocal visits
@@ -112,41 +187,56 @@ def _tuple_search(g: Graph, k: int, check, budget: SolverBudget):
                 found.append((tuple(order), witness))
                 return True
             return False
+        grow = len(order) + 1 < k
         cands = sorted({w for v in stack for w in adj[v] if w not in parent})
+        if cover and not grow:
+            edge = _outside_edge(g, parent)
+            if edge is not None:
+                cands = [w for w in cands if w in edge]
         for w in cands:
-            if any(q in nbr[w] for q in popped):
+            twin = prev_twin[w]
+            if (twin >= 0 and twin not in parent) or shut[w] or near[w]:
+                continue
+            if all_internal and not _has_outside_neighbor(g, w, parent):
                 continue
             j = len(stack) - 1
             while stack[j] not in nbr[w]:
                 j -= 1
-            cut = stack[j + 1 :]
-            del stack[j + 1 :]
-            parent[w] = stack[-1]
+            parent[w] = stack[j]
             order.append(w)
-            stack.append(w)
-            popped.update(cut)
-            done = descend()
-            stack.pop()
+            if grow:
+                cut = stack[j + 1 :]
+                del stack[j + 1 :]
+                stack.append(w)
+                finish(cut, 1)
+                # w is dead too if the cut shut one of its own neighbors
+                done = not near[w] and descend()
+                finish(cut, -1)
+                stack.pop()
+                stack.extend(cut)
+            else:
+                done = descend()
             order.pop()
             del parent[w]
-            popped.difference_update(cut)
-            stack.extend(cut)
             if done:
                 return True
         return False
 
     for root in range(n):
+        if prev_twin[root] >= 0:
+            continue
         parent.clear()
         parent[root] = None
         order[:] = [root]
         stack[:] = [root]
-        popped.clear()
         if descend():
             return found[0]
     return None
 
 
-def _extend_keeping_covered_internal(g: Graph, t: RootedSpanningTree) -> RootedSpanningTree:
+def _extend_keeping_covered_internal(
+    g: Graph, t: RootedSpanningTree, idx: AncestorIndex
+) -> RootedSpanningTree:
     """Grow t to a spanning tree by hanging each outside component below the
     deepest tree vertex its neighborhood touches, via a DFS of the component.
 
@@ -155,7 +245,6 @@ def _extend_keeping_covered_internal(g: Graph, t: RootedSpanningTree) -> RootedS
     leaf of t picks up a child.
     """
     parent = dict(t.parent)
-    idx = AncestorIndex.build(t)
     inside = t.parent
     for comp in components_outside(g, inside):
         boundary = {u for w in comp for u in g.adjacency[w] if u in inside}
@@ -180,14 +269,15 @@ def _extend_keeping_covered_internal(g: Graph, t: RootedSpanningTree) -> RootedS
     return RootedSpanningTree(t.root, parent)
 
 
-def _extend_keeping_outside_leaves(g: Graph, t: RootedSpanningTree) -> RootedSpanningTree:
+def _extend_keeping_outside_leaves(
+    g: Graph, t: RootedSpanningTree, idx: AncestorIndex
+) -> RootedSpanningTree:
     """Grow t by attaching every outside vertex as a leaf under its deepest neighbor.
 
     Sound when extendable_all_leaves holds: outside vertices are pairwise
     non-adjacent and each sees only one root-to-leaf path of t.
     """
     parent = dict(t.parent)
-    idx = AncestorIndex.build(t)
     inside = t.parent
     for v in range(g.vertex_count):
         if v not in inside:
@@ -223,15 +313,15 @@ def solve_dual_min_xp(g: Graph, k: int, budget: SolverBudget | None = None) -> D
         return Decision(False)
 
     def check(root, parent, order):
-        t = RootedSpanningTree(root, dict(parent), tuple(order))
+        t = RootedSpanningTree(root, parent)  # live view; the extension copies it
         if not _leaves_have_outside_neighbor(g, t):
             return None
         idx = AncestorIndex.build(t)
         if not _components_chain_ok(g, t, idx):
             return None
-        return _extend_keeping_covered_internal(g, t)
+        return _extend_keeping_covered_internal(g, t, idx)
 
-    hit = _tuple_search(g, k, check, budget)
+    hit = _tuple_search(g, k, check, budget, all_internal=True)
     if hit is None:
         return Decision(False)
     tup, witness = hit
@@ -256,13 +346,15 @@ def solve_dual_max_xp(g: Graph, k: int, budget: SolverBudget | None = None) -> D
         return Decision(False)
 
     def check(root, parent, order):
-        t = RootedSpanningTree(root, dict(parent), tuple(order))
-        idx = AncestorIndex.build(t)
-        if not _outside_is_independent_with_chains(g, t, idx):
+        if not _outside_is_independent(g, parent):
             return None
-        return _extend_keeping_outside_leaves(g, t)
+        t = RootedSpanningTree(root, parent)  # live view; the extension copies it
+        idx = AncestorIndex.build(t)
+        if not _outside_sees_chains(g, parent, idx):
+            return None
+        return _extend_keeping_outside_leaves(g, t, idx)
 
-    hit = _tuple_search(g, k, check, budget)
+    hit = _tuple_search(g, k, check, budget, cover=True)
     if hit is None:
         return Decision(False)
     tup, witness = hit
@@ -295,34 +387,41 @@ def _lift_witness(g: Graph, trace: ReductionTrace, kernel_tree: RootedSpanningTr
 
 
 def solve_dual_fpt_with_kernel(
-    inst: ProblemInstance, budget: SolverBudget | None = None, *, root: int = 0
+    inst: ProblemInstance,
+    budget: SolverBudget | None = None,
+    *,
+    root: int = 0,
+    kernel: KernelOutcome | None = None,
 ) -> tuple[Decision, KernelOutcome]:
     """Kernelize, then run the tuple solver on the kernel. Time k^O(k) poly(n).
 
     Returns the decision together with the kernelization outcome so callers
     can report reduction statistics. Yes answers carry a witness lifted back
     to the original graph; its accepted tuple is reported in original ids.
+    A caller that already holds ``kernelize(inst, root=root)`` passes it as
+    `kernel` instead of having the instance kernelized again. A
+    BudgetExceeded raised by the search carries the kernel outcome.
     """
     budget = budget or SolverBudget()
     g, k = inst.graph, inst.k
     if inst.variant is Variant.DUAL_MIN_LLT:
-        outcome = kernel_dual_min(inst, root=root)
-        if isinstance(outcome, Decided):
-            if outcome.answer:
-                witness = _checked(g, dfs_any(g, root), inst.variant, k)
-                return Decision(True, witness=witness), outcome
-            return Decision(False), outcome
-        sub = solve_dual_min_xp(outcome.instance.graph, k, budget)
+        search, start = solve_dual_min_xp, root
+        outcome = kernel if kernel is not None else kernel_dual_min(inst, root=root)
     elif inst.variant is Variant.DUAL_MAX_LLT:
-        outcome = kernel_dual_max(inst)
-        if isinstance(outcome, Decided):
-            if outcome.answer:
-                witness = _checked(g, dfs_any(g, 0), inst.variant, k)
-                return Decision(True, witness=witness), outcome
-            return Decision(False), outcome
-        sub = solve_dual_max_xp(outcome.instance.graph, k, budget)
+        search, start = solve_dual_max_xp, 0
+        outcome = kernel if kernel is not None else kernel_dual_max(inst)
     else:
         raise ValueError(f"no FPT pipeline for variant {inst.variant.value}")
+    if isinstance(outcome, Decided):
+        if outcome.answer:
+            witness = _checked(g, dfs_any(g, start), inst.variant, k)
+            return Decision(True, witness=witness), outcome
+        return Decision(False), outcome
+    try:
+        sub = search(outcome.instance.graph, k, budget)
+    except BudgetExceeded as exc:
+        exc.kernel = outcome
+        raise
     if not sub.answer:
         return Decision(False), outcome
     lifted = _checked(g, _lift_witness(g, outcome.trace, sub.witness), inst.variant, k)

@@ -274,28 +274,38 @@ def _components_chain_ok(g: Graph, t: RootedSpanningTree, idx: AncestorIndex) ->
     return True
 
 
+def _has_outside_neighbor(g: Graph, v: int, inside) -> bool:
+    return any(u not in inside for u in g.adjacency[v])
+
+
 def _leaves_have_outside_neighbor(g: Graph, t: RootedSpanningTree) -> bool:
     inside = t.parent
-    for v in t.leaf_vertices():
-        if all(u in inside for u in g.adjacency[v]):
-            return False
-    return True
+    return all(_has_outside_neighbor(g, v, inside) for v in t.leaf_vertices())
 
 
-def _outside_is_independent_with_chains(
-    g: Graph, t: RootedSpanningTree, idx: AncestorIndex
-) -> bool:
-    """Every uncovered vertex must be adjacent only to covered vertices on one path."""
-    inside = t.parent
+def _outside_edge(g: Graph, inside) -> tuple[int, int] | None:
+    """An edge with both ends uncovered, or None."""
     for v in range(g.vertex_count):
-        if v in inside:
-            continue
-        nbrs = g.adjacency[v]
-        if any(u not in inside for u in nbrs):
-            return False
-        if not idx.is_chain(nbrs):
-            return False
-    return True
+        if v not in inside:
+            for u in g.adjacency[v]:
+                if u not in inside:
+                    return v, u
+    return None
+
+
+def _outside_is_independent(g: Graph, inside) -> bool:
+    """Every uncovered vertex must be adjacent only to covered vertices."""
+    return _outside_edge(g, inside) is None
+
+
+def _outside_sees_chains(g: Graph, inside, idx: AncestorIndex) -> bool:
+    """Every uncovered vertex's neighborhood must lie on one root-to-leaf path.
+
+    Assumes `_outside_is_independent` holds, so every neighbor is indexed.
+    """
+    return all(
+        idx.is_chain(g.adjacency[v]) for v in range(g.vertex_count) if v not in inside
+    )
 
 
 def extendable(g: Graph, t: RootedSpanningTree) -> bool:
@@ -334,7 +344,7 @@ def extendable_all_leaves(g: Graph, t: RootedSpanningTree) -> bool:
     idx = AncestorIndex.build(t)
     if dfs_tree_violation(g, t, idx) is not None:
         return False
-    return _outside_is_independent_with_chains(g, t, idx)
+    return _outside_is_independent(g, t.parent) and _outside_sees_chains(g, t.parent, idx)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,17 @@ cross-checks).
 """
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 from hypothesis import strategies as st
 
-from lineal import Graph, internal_profile
+from lineal import (
+    Graph,
+    extendable_all_internal,
+    extendable_all_leaves,
+    internal_profile,
+    tree_respecting_ordering,
+)
 from lineal.generate import gnp_graph
 
 
@@ -75,6 +81,20 @@ def bf_minimal_covers(g: Graph) -> list[frozenset[int]]:
             continue
         out.append(frozenset(s))
     return out
+
+
+def bf_first_accepted_tuple(g: Graph, k: int, dual_min: bool) -> tuple[int, ...] | None:
+    """Lexicographically first ordered k-tuple whose forced DFS tree extends
+    keeping the tuple internal (dual-min) or everything else a leaf (dual-max).
+
+    Walks every permutation in order, with no pruning at all.
+    """
+    extends = extendable_all_internal if dual_min else extendable_all_leaves
+    for tup in permutations(range(g.vertex_count), k):
+        t = tree_respecting_ordering(g, tup)
+        if t is not None and extends(g, t):
+            return tup
+    return None
 
 
 def all_partial_trees(g: Graph):

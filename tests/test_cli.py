@@ -16,6 +16,13 @@ def c4_file(tmp_path):
 
 
 @pytest.fixture()
+def star_file(tmp_path):
+    path = tmp_path / "star.txt"
+    path.write_text("6 5\n0 1\n0 2\n0 3\n0 4\n0 5\n")
+    return str(path)
+
+
+@pytest.fixture()
 def p4_file(tmp_path):
     path = tmp_path / "p4.txt"
     path.write_text("4 3\n0 1\n1 2\n2 3\n")
@@ -179,3 +186,67 @@ def test_report_determinism_modulo_timings(capsys, c4_file):
     r1.pop("timings_ms")
     r2.pop("timings_ms")
     assert r1 == r2
+
+
+@pytest.mark.parametrize("flag", ["--time-limit", "--budget-tuples"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_nonpositive_budget_flags_are_usage_errors(capsys, star_file, flag, value):
+    code, out, err = run(capsys, "solve", star_file, "--variant", "dual-min", "-k", "2", flag, value)
+    assert code == 64
+    assert out == ""
+    assert "positive" in err
+    code, _, _ = run(
+        capsys, "bench", "--variant", "dual-max", "--n-grid", "12", "--k-grid", "1", flag, value
+    )
+    assert code == 64
+
+
+def test_undecided_search_reports_the_kernel(capsys, star_file):
+    code, out, _ = run(
+        capsys, "solve", star_file, "--variant", "dual-min", "-k", "2", "--budget-tuples", "1"
+    )
+    assert code == 2
+    rep = report_of(out)
+    assert rep["outcome"] == "undecided"
+    assert rep["reason"] == "undecided: tuple budget exhausted"
+    stats = rep["kernel"]
+    assert stats["ran"] and stats["n_before"] == 6 and stats["n_after"] == 3
+    assert stats["cover_size"] == 1 and stats["rule1_deleted"] == 3
+
+
+def test_unexpected_exception_exits_internal(capsys, c4_file, monkeypatch):
+    import lineal.cli as cli
+
+    def crash(args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setitem(cli._HANDLERS, "oracle", crash)
+    code, out, err = run(capsys, "oracle", c4_file, "--variant", "max-llt", "-k", "2")
+    assert code == cli.EX_INTERNAL == 70
+    assert out == ""
+    assert err.startswith("internal error: RecursionError")
+
+
+@pytest.mark.parametrize("variant, ks", [("dual-min", "4,6,8"), ("dual-max", "1,2,3")])
+def test_bench_kernelizes_once_per_cell(capsys, monkeypatch, variant, ks):
+    import lineal.kernel as kernel
+    import lineal.solve as solve
+
+    name = {"dual-min": "kernel_dual_min", "dual-max": "kernel_dual_max"}[variant]
+    front_end = getattr(kernel, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return front_end(*args, **kwargs)
+
+    monkeypatch.setattr(kernel, name, counted)
+    monkeypatch.setattr(solve, name, counted)
+    code, out, _ = run(
+        capsys, "bench", "--variant", variant, "--n-grid", "12,18", "--k-grid", ks, "--seed", "3",
+    )
+    assert code == 0
+    rows = out.strip().splitlines()[1:]
+    assert len(rows) == 6
+    assert len(calls) == 6
+    assert any(row.split(",")[5] for row in rows)  # some cell reached the search

@@ -18,7 +18,19 @@ from lineal import (
 )
 from lineal.generate import bounded_cover_graph, cycle_graph, path_graph, star_graph
 
-from helpers import C4, K3, P3, P4, STAR3, connected_graphs, profile_of
+from helpers import (
+    C4,
+    K3,
+    P3,
+    P4,
+    STAR3,
+    STAR5,
+    atlas_connected,
+    bf_first_accepted_tuple,
+    connected_graphs,
+    profile_of,
+    random_connected,
+)
 
 
 def inst(g, k, variant):
@@ -91,6 +103,41 @@ def test_tuple_completeness_instrumented():
             d = solve_dual_min_xp(g, k)
             assert d.answer and d.accepted_tuple is not None
             assert len(d.accepted_tuple) == k
+
+
+def _assert_first_accepted_tuples(g):
+    for k in range(1, g.vertex_count):
+        for solver, dual_min in ((solve_dual_min_xp, True), (solve_dual_max_xp, False)):
+            want = bf_first_accepted_tuple(g, k, dual_min)
+            d = solver(g, k)
+            assert d.accepted_tuple == want, (solver.__name__, k)
+            assert d.answer is (want is not None)
+
+
+@given(connected_graphs(min_n=2, max_n=7))
+@settings(max_examples=100, deadline=None)
+def test_accepted_tuple_is_lexicographically_first(g):
+    # twin symmetry breaking and the pop-time leaf test prune the walk but
+    # must not change which tuple is accepted first
+    _assert_first_accepted_tuples(g)
+
+
+K24 = Graph(6, [(a, b) for a in (0, 1) for b in range(2, 6)])
+
+
+@pytest.mark.parametrize(
+    "g",
+    [STAR3, STAR5, K24, C4, bounded_cover_graph(8, 2, 0.5, seed=0),
+     bounded_cover_graph(8, 2, 0.5, seed=1)],
+    ids=["star3", "star5", "k24", "c4", "bc8-seed0", "bc8-seed1"],
+)
+def test_accepted_tuple_is_lexicographically_first_on_twin_rich_graphs(g):
+    _assert_first_accepted_tuples(g)
+
+
+def test_accepted_tuple_is_lexicographically_first_on_the_corpora():
+    for g in atlas_connected(6) + random_connected((7, 8), per_n=20):
+        _assert_first_accepted_tuples(g)
 
 
 # ---------------------------------------------------------------------------
