@@ -20,10 +20,8 @@ from .formats import (
 from .generate import FAMILIES, GenerationError, generate
 from .graphs import (
     Graph,
-    common_neighbors,
     components_outside,
     greedy_cover,
-    induced_subgraph,
     is_connected,
     pendant_set,
 )
@@ -69,7 +67,6 @@ from .trees import (
     extendable_all_internal,
     extendable_all_leaves,
     internal_profile,
-    internal_vertices,
     is_dfs_tree,
     tree_respecting_ordering,
 )

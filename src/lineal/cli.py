@@ -1,5 +1,10 @@
 """Command-line interface: kernelize, solve, oracle, verify, gen, bench.
 
+`solve` and `bench` run one pipeline for all four variants: kernelize, then
+decide the kernel (tuple search for the dual variants, the exhaustive oracle
+for min-llt and max-llt) and lift the witness back. `oracle` enumerates the
+DFS trees of the input graph itself.
+
 Machine-readable output (JSON reports, generated graphs, CSV sweeps) goes to
 stdout or --output; diagnostics go to stderr. Exit codes: 0 yes, 1 no,
 2 undecided (budget, oracle refusal, or a reduced-but-unsolved instance),
@@ -37,7 +42,6 @@ from .kernel import (
 )
 from .solve import (
     BudgetExceeded,
-    Decision,
     SolverBudget,
     solve_dual_fpt_with_kernel,
     solve_exact_oracle,
@@ -96,7 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["edgelist", "dimacs"], default="edgelist")
     p.add_argument("--output", help="write the kernel graph here")
 
-    p = sub.add_parser("solve", help="decide an instance (FPT for dual variants, oracle otherwise)")
+    p = sub.add_parser(
+        "solve", help="decide an instance: kernelize, then search or enumerate the kernel"
+    )
     add_instance_args(p)
     add_budget_args(p)
     p.add_argument("--root", type=int, default=0, help="DFS root for the dual-min kernel")
@@ -169,19 +175,21 @@ def _emit(doc: dict, out=None) -> None:
 
 
 def _kernel_stats(g_before: Graph, outcome) -> dict:
+    """Report block of a kernelization outcome; None means no kernelization ran."""
+    if outcome is None:
+        return {"ran": False}
+    stats = {"ran": True, "n_before": g_before.vertex_count}
     if isinstance(outcome, Reduced):
         trace = outcome.trace
         s = len(trace.cover)
-        return {
-            "ran": True,
-            "n_before": g_before.vertex_count,
+        stats.update({
             "n_after": outcome.instance.graph.vertex_count,
             "cover_size": s,
             "bound": size_bound(s),
             "rule1_deleted": trace.pendant_deletions,
             "rule2_deleted": trace.unlabeled_deletions,
-        }
-    return {"ran": False}
+        })
+    return stats
 
 
 def _outcome_exit(outcome: str) -> int:
@@ -218,56 +226,47 @@ def cmd_kernelize(args) -> int:
     return _outcome_exit(report["outcome"])
 
 
-def cmd_solve(args, force_oracle: bool = False) -> int:
-    t0 = time.perf_counter()
-    loaded = _read_graph(args.graph)
-    t1 = time.perf_counter()
-    variant = Variant(args.variant)
-    inst = ProblemInstance(loaded.graph, args.k, variant)
-    budget = _budget(args)
-    report = {
-        "instance": _instance_desc(args.graph, loaded, args),
-        "outcome": None,
-        "reason": None,
-        "witness": None,
-        "kernel": {"ran": False},
-        "timings_ms": {},
-    }
-    decision: Decision | None = None
-    dual = variant in (Variant.DUAL_MIN_LLT, Variant.DUAL_MAX_LLT)
-    try:
-        if force_oracle or not dual:
-            decision = solve_exact_oracle(inst, budget)
-            reason = "exhaustive enumeration"
-        else:
-            decision, outcome = solve_dual_fpt_with_kernel(
-                inst, budget, root=getattr(args, "root", 0)
-            )
-            report["kernel"] = _kernel_stats(loaded.graph, outcome)
-            reason = (
-                outcome.reason if isinstance(outcome, Decided) else "tuple search on the kernel"
-            )
-    except OracleLimitError as exc:
-        report["outcome"] = "undecided"
-        report["reason"] = str(exc)
-    except BudgetExceeded as exc:
-        report["outcome"] = "undecided"
-        report["reason"] = str(exc)
-        if exc.kernel is not None:
-            report["kernel"] = _kernel_stats(loaded.graph, exc.kernel)
-    t2 = time.perf_counter()
-    if decision is not None:
-        report["outcome"] = "yes" if decision.answer else "no"
-        report["reason"] = reason
-        if decision.witness is not None:
-            report["witness"] = witness_to_jsonable(decision.witness, loaded.labels)
-    report["timings_ms"] = {"parse": _ms(t0, t1), "solve": _ms(t1, t2), "total": _ms(t0, t2)}
-    _emit(report)
-    return _outcome_exit(report["outcome"])
+def cmd_solve(args) -> int:
+    return _decide(
+        args, lambda inst, budget: solve_dual_fpt_with_kernel(inst, budget, root=args.root)
+    )
 
 
 def cmd_oracle(args) -> int:
-    return cmd_solve(args, force_oracle=True)
+    return _decide(args, lambda inst, budget: (solve_exact_oracle(inst, budget), None))
+
+
+def _decide(args, run) -> int:
+    """Report `run(inst, budget)`, which returns a decision and the kernel outcome or None."""
+    t0 = time.perf_counter()
+    loaded = _read_graph(args.graph)
+    t1 = time.perf_counter()
+    inst = ProblemInstance(loaded.graph, args.k, Variant(args.variant))
+    budget = _budget(args)
+    report = {
+        "instance": _instance_desc(args.graph, loaded, args),
+        "outcome": "undecided",
+        "reason": None,
+        "witness": None,
+        "kernel": None,
+        "timings_ms": {},
+    }
+    decision = None
+    try:
+        decision, outcome = run(inst, budget)
+    except (BudgetExceeded, OracleLimitError) as exc:
+        report["reason"] = str(exc)
+        outcome = exc.kernel
+    t2 = time.perf_counter()
+    if decision is not None:
+        report["outcome"] = "yes" if decision.answer else "no"
+        report["reason"] = decision.reason
+        if decision.witness is not None:
+            report["witness"] = witness_to_jsonable(decision.witness, loaded.labels)
+    report["kernel"] = _kernel_stats(loaded.graph, outcome)
+    report["timings_ms"] = {"parse": _ms(t0, t1), "solve": _ms(t1, t2), "total": _ms(t0, t2)}
+    _emit(report)
+    return _outcome_exit(report["outcome"])
 
 
 def cmd_verify(args) -> int:
@@ -310,14 +309,8 @@ def cmd_verify(args) -> int:
     else:
         if args.k is None:
             raise _UsageError("verify with --variant also needs -k")
-        variant = Variant(args.variant)
-        ok = {
-            Variant.MIN_LLT: leaves <= args.k,
-            Variant.MAX_LLT: leaves >= args.k,
-            Variant.DUAL_MIN_LLT: internal >= args.k,
-            Variant.DUAL_MAX_LLT: internal <= args.k,
-        }[variant]
-        report["outcome"] = "yes" if ok else "no"
+        lo, hi = Variant(args.variant).internal_bounds(g.vertex_count, args.k)
+        report["outcome"] = "yes" if lo <= internal <= hi else "no"
         report["reason"] = (
             f"valid DFS tree with {internal} internal vertices and {leaves} leaves"
         )
@@ -369,25 +362,14 @@ def cmd_bench(args) -> int:
             t0 = time.perf_counter()
             outcome = kernelize(inst)
             t1 = time.perf_counter()
-            if isinstance(outcome, Decided):
-                s = kernel_n = bound = ""
-                answer = "yes" if outcome.answer else "no"
-                t2 = t1
-            else:
-                s = len(outcome.trace.cover)
-                kernel_n = outcome.instance.graph.vertex_count
-                bound = size_bound(s)
+            try:
+                decision, _ = solve_dual_fpt_with_kernel(inst, budget, kernel=outcome)
+                answer = "yes" if decision.answer else "no"
+            except (BudgetExceeded, OracleLimitError):
                 answer = "undecided"
-                try:
-                    if variant in (Variant.DUAL_MIN_LLT, Variant.DUAL_MAX_LLT):
-                        decision, _ = solve_dual_fpt_with_kernel(inst, budget, kernel=outcome)
-                        answer = "yes" if decision.answer else "no"
-                    elif outcome.instance.graph.vertex_count <= budget.oracle_vertex_limit:
-                        decision = solve_exact_oracle(outcome.instance, budget)
-                        answer = "yes" if decision.answer else "no"
-                except (BudgetExceeded, OracleLimitError):
-                    answer = "undecided"
-                t2 = time.perf_counter()
+            t2 = time.perf_counter()
+            stats = _kernel_stats(g, outcome)
+            s, kernel_n, bound = (stats.get(key, "") for key in ("cover_size", "n_after", "bound"))
             writer.writerow(
                 [n, g.edge_count, variant.value, k, s, kernel_n, bound, answer,
                  _ms(t0, t1), _ms(t1, t2)]

@@ -45,12 +45,6 @@ class LoadedGraph:
     graph: Graph
     labels: tuple[str, ...]
 
-    def id_of(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"unknown vertex label {label!r}") from None
-
 
 def parse_graph(text: str) -> LoadedGraph:
     """Parse an edge-list or DIMACS document (detected by its first data line)."""

@@ -5,7 +5,6 @@ and safe to call from concurrent workers.
 """
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable, Iterator
 
 
@@ -130,13 +129,6 @@ def pendant_set(g: Graph, cover: Iterable[int], v: int) -> frozenset[int]:
     )
 
 
-def common_neighbors(g: Graph, u: int, v: int, outside: Iterable[int]) -> frozenset[int]:
-    """Members of `outside` adjacent to both u and v."""
-    nu = g.neighbor_set(u)
-    nv = g.neighbor_set(v)
-    return frozenset(w for w in outside if w in nu and w in nv)
-
-
 def components_outside(g: Graph, removed: Iterable[int]) -> list[frozenset[int]]:
     """Connected components of the subgraph induced on V(g) minus `removed`.
 
@@ -160,15 +152,3 @@ def components_outside(g: Graph, removed: Iterable[int]) -> list[frozenset[int]]
                     frontier.append(w)
         out.append(frozenset(comp))
     return out
-
-
-def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Induced subgraph on `keep`, relabeled densely; returns (graph, old ids)."""
-    keep_set = set(keep)
-    gone = [v for v in range(g.vertex_count) if v not in keep_set]
-    return g.without(gone)
-
-
-def all_pairs(n: int) -> Iterator[tuple[int, int]]:
-    """All unordered vertex pairs (u, v) with u < v."""
-    return combinations(range(n), 2)

@@ -36,6 +36,17 @@ class Variant(str, Enum):
     DUAL_MIN_LLT = "dual-min"
     DUAL_MAX_LLT = "dual-max"
 
+    def internal_bounds(self, n: int, k: int) -> tuple[int, int]:
+        """(lo, hi): a DFS tree of an n-vertex graph answers yes for k iff
+        lo <= its internal count <= hi."""
+        if self is Variant.MIN_LLT:
+            return n - k, n
+        if self is Variant.MAX_LLT:
+            return 0, n - k
+        if self is Variant.DUAL_MIN_LLT:
+            return k, n
+        return 0, k
+
 
 @dataclass(frozen=True)
 class ProblemInstance:
@@ -184,6 +195,9 @@ class Reduced:
 
 KernelOutcome = Decided | Reduced
 
+_ONE_LEAF = "a single vertex is one leaf"
+_NO_INTERNAL = "a single vertex has no internal vertices"
+
 
 def kernel_min_llt(inst: ProblemInstance) -> KernelOutcome:
     """Kernelize "at most k leaves" using a greedy 2-approximate vertex cover.
@@ -192,14 +206,9 @@ def kernel_min_llt(inst: ProblemInstance) -> KernelOutcome:
     parameter below 1 is an immediate no: every DFS tree of a nonempty
     connected graph keeps at least one leaf.
     """
-    _expect(inst, Variant.MIN_LLT)
+    if (trivial := _trivial(inst, Variant.MIN_LLT, _ONE_LEAF)) is not None:
+        return trivial
     g = inst.graph
-    if g.vertex_count == 0:
-        return Decided(False, "empty graph has no spanning tree")
-    if not is_connected(g):
-        return Decided(False, "disconnected graph has no spanning tree")
-    if g.vertex_count == 1:
-        return Decided(inst.k >= 1, "a single vertex is one leaf")
     _, cover = greedy_cover(g)
     reduced, trace = reduce_with_cover(g, cover)
     kp = inst.k - (g.vertex_count - reduced.vertex_count)
@@ -214,14 +223,9 @@ def kernel_max_llt(inst: ProblemInstance) -> KernelOutcome:
     A shifted parameter of 1 or less is an immediate yes for the same
     one-leaf reason.
     """
-    _expect(inst, Variant.MAX_LLT)
+    if (trivial := _trivial(inst, Variant.MAX_LLT, _ONE_LEAF)) is not None:
+        return trivial
     g = inst.graph
-    if g.vertex_count == 0:
-        return Decided(False, "empty graph has no spanning tree")
-    if not is_connected(g):
-        return Decided(False, "disconnected graph has no spanning tree")
-    if g.vertex_count == 1:
-        return Decided(inst.k <= 1, "a single vertex is one leaf")
     _, cover = greedy_cover(g)
     reduced, trace = reduce_with_cover(g, cover)
     kp = inst.k - (g.vertex_count - reduced.vertex_count)
@@ -237,14 +241,9 @@ def kernel_dual_min(inst: ProblemInstance, *, root: int = 0) -> KernelOutcome:
     vertices form a vertex cover of size below k that drives the reduction.
     The parameter is unchanged.
     """
-    _expect(inst, Variant.DUAL_MIN_LLT)
+    if (trivial := _trivial(inst, Variant.DUAL_MIN_LLT, _NO_INTERNAL)) is not None:
+        return trivial
     g = inst.graph
-    if g.vertex_count == 0:
-        return Decided(False, "empty graph has no spanning tree")
-    if not is_connected(g):
-        return Decided(False, "disconnected graph has no spanning tree")
-    if g.vertex_count == 1:
-        return Decided(inst.k == 0, "a single vertex has no internal vertices")
     t = dfs_any(g, root)
     cover = t.internal_vertices()
     if len(cover) >= inst.k:
@@ -261,14 +260,9 @@ def kernel_dual_max(inst: ProblemInstance) -> KernelOutcome:
     Otherwise its endpoints (at most 2k) drive the reduction; the parameter
     is unchanged.
     """
-    _expect(inst, Variant.DUAL_MAX_LLT)
+    if (trivial := _trivial(inst, Variant.DUAL_MAX_LLT, _NO_INTERNAL)) is not None:
+        return trivial
     g = inst.graph
-    if g.vertex_count == 0:
-        return Decided(False, "empty graph has no spanning tree")
-    if not is_connected(g):
-        return Decided(False, "disconnected graph has no spanning tree")
-    if g.vertex_count == 1:
-        return Decided(True, "a single vertex has no internal vertices")
     matching, cover = greedy_cover(g)
     if len(matching) > inst.k:
         return Decided(False, f"maximal matching of size {len(matching)} exceeds k")
@@ -287,6 +281,17 @@ def kernelize(inst: ProblemInstance, *, root: int = 0) -> KernelOutcome:
     return kernel_dual_max(inst)
 
 
-def _expect(inst: ProblemInstance, variant: Variant) -> None:
+def _trivial(inst: ProblemInstance, variant: Variant, single_reason: str) -> Decided | None:
+    """Check the instance's variant, then settle graphs with fewer than two
+    vertices or more than one component; None for every other graph."""
     if inst.variant is not variant:
         raise ValueError(f"expected a {variant.value} instance, got {inst.variant.value}")
+    g = inst.graph
+    if g.vertex_count == 0:
+        return Decided(False, "empty graph has no spanning tree")
+    if not is_connected(g):
+        return Decided(False, "disconnected graph has no spanning tree")
+    if g.vertex_count == 1:
+        lo, hi = variant.internal_bounds(1, inst.k)
+        return Decided(lo <= 0 <= hi, single_reason)
+    return None

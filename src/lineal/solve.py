@@ -1,5 +1,10 @@
-"""Brute-force tuple solvers for the dual variants, the kernel-then-solve
-pipeline, and the exhaustive oracle for all four variants.
+"""Brute-force tuple solvers for the dual variants, the exhaustive oracle,
+and the one kernel-then-solve pipeline for all four variants.
+
+The pipeline kernelizes the instance, then decides the kernel: by the tuple
+search for the dual variants, by the oracle with the shifted k for min-llt
+and max-llt. A kernel witness is lifted back through the reduction trace and
+validated on the input graph before it is returned.
 
 The tuple solvers guess the discovery order of the k vertices that must end
 up internal (or must absorb all internal vertices). A guessed order is only
@@ -52,11 +57,9 @@ from .kernel import (
     KernelOutcome,
     PendantDeleted,
     ProblemInstance,
-    Reduced,
     ReductionTrace,
     Variant,
-    kernel_dual_max,
-    kernel_dual_min,
+    kernelize,
 )
 from .trees import (
     ORACLE_LIMIT_DEFAULT,
@@ -74,6 +77,8 @@ from .trees import (
     is_dfs_tree,
 )
 
+_EXHAUSTIVE = "exhaustive enumeration"
+
 
 @dataclass(frozen=True)
 class Decision:
@@ -81,11 +86,14 @@ class Decision:
 
     ``accepted_tuple`` records the internal-vertex guess that succeeded, when
     the answer came out of the tuple search; trivial branches leave it None.
+    ``reason`` says how the answer was reached; the pipeline and the oracle
+    set it, the tuple solvers leave it None.
     """
 
     answer: bool
     witness: RootedSpanningTree | None = None
     accepted_tuple: tuple[int, ...] | None = None
+    reason: str | None = None
 
 
 @dataclass(frozen=True)
@@ -290,8 +298,8 @@ def _checked(g: Graph, t: RootedSpanningTree, variant: Variant, k: int) -> Roote
     if not is_dfs_tree(g, t):
         raise RuntimeError("internal error: constructed witness is not a DFS tree")
     ic = t.internal_count()
-    ok = ic >= k if variant is Variant.DUAL_MIN_LLT else ic <= k
-    if not ok:
+    lo, hi = variant.internal_bounds(g.vertex_count, k)
+    if not lo <= ic <= hi:
         raise RuntimeError(
             f"internal error: witness has {ic} internal vertices, variant {variant.value} k={k}"
         )
@@ -393,49 +401,55 @@ def solve_dual_fpt_with_kernel(
     root: int = 0,
     kernel: KernelOutcome | None = None,
 ) -> tuple[Decision, KernelOutcome]:
-    """Kernelize, then run the tuple solver on the kernel. Time k^O(k) poly(n).
+    """Kernelize any variant, then decide the kernel and lift its witness.
 
+    The dual variants run the tuple search on the kernel (time k^O(k)
+    poly(n)); min-llt and max-llt run the exhaustive oracle on the kernel
+    with its shifted k, so the oracle's vertex limit applies to the kernel.
     Returns the decision together with the kernelization outcome so callers
     can report reduction statistics. Yes answers carry a witness lifted back
-    to the original graph; its accepted tuple is reported in original ids.
-    A caller that already holds ``kernelize(inst, root=root)`` passes it as
-    `kernel` instead of having the instance kernelized again. A
-    BudgetExceeded raised by the search carries the kernel outcome.
+    to the original graph and validated there; an accepted tuple is reported
+    in original ids. A caller that already holds ``kernelize(inst,
+    root=root)`` passes it as `kernel` instead of having the instance
+    kernelized again. A BudgetExceeded or OracleLimitError raised on the
+    kernel carries the kernel outcome.
     """
     budget = budget or SolverBudget()
-    g, k = inst.graph, inst.k
-    if inst.variant is Variant.DUAL_MIN_LLT:
-        search, start = solve_dual_min_xp, root
-        outcome = kernel if kernel is not None else kernel_dual_min(inst, root=root)
-    elif inst.variant is Variant.DUAL_MAX_LLT:
-        search, start = solve_dual_max_xp, 0
-        outcome = kernel if kernel is not None else kernel_dual_max(inst)
-    else:
-        raise ValueError(f"no FPT pipeline for variant {inst.variant.value}")
+    g, k, variant = inst.graph, inst.k, inst.variant
+    outcome = kernel if kernel is not None else kernelize(inst, root=root)
     if isinstance(outcome, Decided):
-        if outcome.answer:
-            witness = _checked(g, dfs_any(g, start), inst.variant, k)
-            return Decision(True, witness=witness), outcome
-        return Decision(False), outcome
+        if not outcome.answer:
+            return Decision(False, reason=outcome.reason), outcome
+        # dual-min's DFS from `root` certified the yes; any DFS tree does otherwise
+        start = root if variant is Variant.DUAL_MIN_LLT else 0
+        witness = _checked(g, dfs_any(g, start), variant, k)
+        return Decision(True, witness=witness, reason=outcome.reason), outcome
+    kern = outcome.instance
     try:
-        sub = search(outcome.instance.graph, k, budget)
-    except BudgetExceeded as exc:
+        if variant is Variant.DUAL_MIN_LLT:
+            sub = solve_dual_min_xp(kern.graph, k, budget)
+        elif variant is Variant.DUAL_MAX_LLT:
+            sub = solve_dual_max_xp(kern.graph, k, budget)
+        else:
+            sub = solve_exact_oracle(kern, budget)
+    except (BudgetExceeded, OracleLimitError) as exc:
         exc.kernel = outcome
         raise
+    reason = sub.reason or "tuple search on the kernel"  # the oracle names itself
     if not sub.answer:
-        return Decision(False), outcome
-    lifted = _checked(g, _lift_witness(g, outcome.trace, sub.witness), inst.variant, k)
+        return Decision(False, reason=reason), outcome
+    lifted = _checked(g, _lift_witness(g, outcome.trace, sub.witness), variant, k)
     tup = None
     if sub.accepted_tuple is not None:
         back = {new: old for old, new in outcome.trace.vertex_map.items()}
         tup = tuple(back[v] for v in sub.accepted_tuple)
-    return Decision(True, witness=lifted, accepted_tuple=tup), outcome
+    return Decision(True, witness=lifted, accepted_tuple=tup, reason=reason), outcome
 
 
 def solve_dual_fpt(
     inst: ProblemInstance, budget: SolverBudget | None = None, *, root: int = 0
 ) -> Decision:
-    """Kernel-then-solve for the dual variants; answer matches the original instance."""
+    """Kernel-then-solve for any variant; the answer matches the original instance."""
     decision, _ = solve_dual_fpt_with_kernel(inst, budget, root=root)
     return decision
 
@@ -455,8 +469,8 @@ def solve_exact_oracle(inst: ProblemInstance, budget: SolverBudget | None = None
             f"graph has {n} vertices, oracle limit is {budget.oracle_vertex_limit}"
         )
     if n == 0 or not is_connected(g):
-        return Decision(False)
-    variant = inst.variant
+        return Decision(False, reason=_EXHAUSTIVE)
+    lo, hi = inst.variant.internal_bounds(n, k)
     deadline = time.perf_counter() + budget.time_limit
     runs = 0
     # Walk the raw DFS executions rather than the deduplicated tree stream:
@@ -468,16 +482,7 @@ def solve_exact_oracle(inst: ProblemInstance, budget: SolverBudget | None = None
             runs += 1
             if not (runs & 255) and time.perf_counter() > deadline:
                 raise BudgetExceeded("time")
-            internal = len({p for p in parent.values() if p is not None})
-            leaves = n - internal
-            if variant is Variant.MIN_LLT:
-                hit = leaves <= k
-            elif variant is Variant.MAX_LLT:
-                hit = leaves >= k
-            elif variant is Variant.DUAL_MIN_LLT:
-                hit = internal >= k
-            else:
-                hit = internal <= k
-            if hit:
-                return Decision(True, witness=RootedSpanningTree(root, dict(parent), tuple(order)))
-    return Decision(False)
+            if lo <= len({p for p in parent.values() if p is not None}) <= hi:
+                witness = RootedSpanningTree(root, dict(parent), tuple(order))
+                return Decision(True, witness=witness, reason=_EXHAUSTIVE)
+    return Decision(False, reason=_EXHAUSTIVE)

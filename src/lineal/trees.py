@@ -21,7 +21,12 @@ ORACLE_LIMIT_DEFAULT = 10
 
 
 class OracleLimitError(RuntimeError):
-    """Raised when exhaustive enumeration is asked for a graph above the size limit."""
+    """Raised when exhaustive enumeration is asked for a graph above the size limit.
+
+    ``kernel`` is the kernelization outcome when the graph was a kernel.
+    """
+
+    kernel = None
 
 
 class InvalidTreeError(ValueError):
@@ -42,19 +47,6 @@ class RootedSpanningTree:
     parent: dict[int, int | None]
     order: tuple[int, ...] | None = field(default=None, compare=False)
 
-    def covered(self):
-        """View of the covered vertex set."""
-        return self.parent.keys()
-
-    def children_map(self) -> dict[int, list[int]]:
-        kids: dict[int, list[int]] = {v: [] for v in self.parent}
-        for v, p in self.parent.items():
-            if p is not None:
-                kids[p].append(v)
-        for lst in kids.values():
-            lst.sort()
-        return kids
-
     def internal_vertices(self) -> frozenset[int]:
         """Covered vertices with at least one child.
 
@@ -68,31 +60,6 @@ class RootedSpanningTree:
 
     def internal_count(self) -> int:
         return len(self.internal_vertices())
-
-    def discovery_order(self) -> tuple[int, ...]:
-        """Stored discovery order, or a canonical one replayed over the tree.
-
-        The replay walks the tree from the root, always descending into the
-        smallest-id unvisited child.
-        """
-        if self.order is not None:
-            return self.order
-        kids = self.children_map()
-        order = [self.root]
-        stack = [(self.root, iter(kids[self.root]))]
-        while stack:
-            v, it = stack[-1]
-            child = next(it, None)
-            if child is None:
-                stack.pop()
-                continue
-            order.append(child)
-            stack.append((child, iter(kids[child])))
-        return tuple(order)
-
-
-def internal_vertices(t: RootedSpanningTree) -> frozenset[int]:
-    return t.internal_vertices()
 
 
 class AncestorIndex:
@@ -355,41 +322,47 @@ def _forced_runs(g: Graph, root: int):
 
     Yields the live (parent, order) state; consumers must copy what they
     keep. Distinct runs can build the same tree, so callers wanting distinct
-    trees must deduplicate.
+    trees must deduplicate. Each step branches over the undiscovered
+    neighbors, ascending, of the deepest stack vertex that has any; the
+    branching is kept on an explicit frame stack, so a long path does not
+    exhaust Python's recursion limit.
     """
     n = g.vertex_count
     adj = g.adjacency
     parent: dict[int, int | None] = {root: None}
     order = [root]
     stack = [root]
-
-    def descend():
+    frames: list[list] = []  # [candidates, next candidate, vertices cut off the stack]
+    while True:
         if len(order) == n:
             yield parent, order
-            return
-        i = len(stack) - 1
-        cand: list[int] = []
-        while i >= 0:
-            cand = [w for w in adj[stack[i]] if w not in parent]
-            if cand:
+        else:
+            i = len(stack) - 1
+            while i >= 0:
+                cand = [w for w in adj[stack[i]] if w not in parent]
+                if cand:
+                    frames.append([cand, 0, stack[i + 1 :]])
+                    del stack[i + 1 :]
+                    break
+                i -= 1
+        while frames:
+            frame = frames[-1]
+            cand, j, saved = frame
+            if j:  # undo the previous candidate
+                stack.pop()
+                order.pop()
+                del parent[cand[j - 1]]
+            if j < len(cand):
+                w = cand[j]
+                frame[1] = j + 1
+                parent[w] = stack[-1]
+                order.append(w)
+                stack.append(w)
                 break
-            i -= 1
-        if i < 0:
+            stack.extend(saved)
+            frames.pop()
+        else:
             return
-        saved = stack[i + 1 :]
-        del stack[i + 1 :]
-        top = stack[-1]
-        for w in cand:
-            parent[w] = top
-            order.append(w)
-            stack.append(w)
-            yield from descend()
-            stack.pop()
-            order.pop()
-            del parent[w]
-        stack.extend(saved)
-
-    yield from descend()
 
 
 def enumerate_dfs_trees(

@@ -124,6 +124,49 @@ def test_solve_non_dual_uses_oracle(capsys, c4_file):
     assert rep["reason"] == "exhaustive enumeration"
 
 
+def test_solve_max_llt_enumerates_the_kernel(capsys, tmp_path):
+    # 51 vertices are above the oracle limit; the kernel keeps 4 of them
+    star = tmp_path / "star51.txt"
+    star.write_text("51 50\n" + "".join(f"0 {i}\n" for i in range(1, 51)))
+    code, out, _ = run(capsys, "solve", str(star), "--variant", "max-llt", "-k", "50")
+    assert code == 0
+    rep = report_of(out)
+    assert rep["outcome"] == "yes" and rep["reason"] == "exhaustive enumeration"
+    assert rep["kernel"]["n_after"] == 4
+    witness = tmp_path / "w.json"
+    witness.write_text(json.dumps(rep["witness"]))
+    code, out, _ = run(
+        capsys, "verify", str(star), "--witness", str(witness), "--variant", "max-llt", "-k", "50"
+    )
+    assert code == 0
+    assert report_of(out)["leaves"] == 50
+
+
+def test_solve_reports_a_kernelization_the_front_end_decided(capsys, tmp_path):
+    path = tmp_path / "p6.txt"
+    path.write_text("6 5\n" + "".join(f"{i} {i + 1}\n" for i in range(5)))
+    code, out, _ = run(capsys, "solve", str(path), "--variant", "dual-min", "-k", "3")
+    assert code == 0
+    rep = report_of(out)
+    assert rep["reason"] == "DFS tree from vertex 0 has 5 internal vertices"
+    assert rep["kernel"] == {"ran": True, "n_before": 6}
+    code, out, _ = run(capsys, "oracle", str(path), "--variant", "dual-min", "-k", "3")
+    assert code == 0
+    assert report_of(out)["kernel"] == {"ran": False}
+
+
+def test_oracle_on_a_long_path(capsys, tmp_path):
+    n = 1500
+    path = tmp_path / "p1500.txt"
+    path.write_text(f"{n} {n - 1}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1)))
+    code, out, _ = run(
+        capsys, "oracle", str(path), "--variant", "dual-min", "-k", str(n - 2),
+        "--oracle-limit", "2000",
+    )
+    assert code == 0
+    assert report_of(out)["reason"] == "exhaustive enumeration"
+
+
 def test_gen_roundtrip_and_determinism(capsys):
     code1, out1, _ = run(capsys, "gen", "--family", "gnp", "--n", "12", "--p", "0.4", "--seed", "5")
     assert code1 == 0
@@ -230,7 +273,6 @@ def test_unexpected_exception_exits_internal(capsys, c4_file, monkeypatch):
 @pytest.mark.parametrize("variant, ks", [("dual-min", "4,6,8"), ("dual-max", "1,2,3")])
 def test_bench_kernelizes_once_per_cell(capsys, monkeypatch, variant, ks):
     import lineal.kernel as kernel
-    import lineal.solve as solve
 
     name = {"dual-min": "kernel_dual_min", "dual-max": "kernel_dual_max"}[variant]
     front_end = getattr(kernel, name)
@@ -241,7 +283,6 @@ def test_bench_kernelizes_once_per_cell(capsys, monkeypatch, variant, ks):
         return front_end(*args, **kwargs)
 
     monkeypatch.setattr(kernel, name, counted)
-    monkeypatch.setattr(solve, name, counted)
     code, out, _ = run(
         capsys, "bench", "--variant", variant, "--n-grid", "12,18", "--k-grid", ks, "--seed", "3",
     )

@@ -37,7 +37,6 @@ def test_parse_opaque_labels():
     loaded = parse_graph("3 2\na b\nb c\n")
     assert loaded.graph == P3
     assert loaded.labels == ("a", "b", "c")
-    assert loaded.id_of("c") == 2
 
 
 def test_parse_comments_and_blanks_ignored():

@@ -3,7 +3,6 @@ from hypothesis import given, settings
 
 from lineal import (
     Graph,
-    common_neighbors,
     components_outside,
     greedy_cover,
     is_connected,
@@ -117,12 +116,6 @@ def test_pendant_set_examples():
     assert pendant_set(STAR3, {0}, 0) == {1, 2, 3}
     assert pendant_set(P3, {1}, 1) == {0, 2}
     assert pendant_set(K3, {0, 1}, 0) == frozenset()
-
-
-def test_common_neighbors_examples():
-    assert common_neighbors(C4, 0, 2, {1, 3}) == {1, 3}
-    assert common_neighbors(P3, 0, 2, {1}) == {1}
-    assert common_neighbors(K3, 0, 1, frozenset()) == frozenset()
 
 
 def test_components_outside_examples():

@@ -177,9 +177,19 @@ def test_fpt_examples():
     assert solve_dual_fpt(inst(C4, 3, Variant.DUAL_MIN_LLT)).answer is True
 
 
-def test_fpt_rejects_non_dual_variants():
-    with pytest.raises(ValueError):
-        solve_dual_fpt(inst(C4, 1, Variant.MIN_LLT))
+def test_fpt_decides_cover_variants_on_the_kernel():
+    # the kernel of a 51-vertex star keeps 4 vertices, within the oracle limit
+    big_star = star_graph(51)
+    d, outcome = solve_dual_fpt_with_kernel(inst(big_star, 50, Variant.MAX_LLT))
+    assert outcome.instance.graph.vertex_count == 4 and outcome.instance.k == 3
+    assert d.answer and is_dfs_tree(big_star, d.witness)
+    assert len(d.witness.leaf_vertices()) == 50
+    d = solve_dual_fpt(inst(big_star, 49, Variant.MIN_LLT))
+    assert d.answer and len(d.witness.leaf_vertices()) <= 49
+    assert solve_dual_fpt(inst(big_star, 48, Variant.MIN_LLT)).answer is False
+    with pytest.raises(OracleLimitError) as err:
+        solve_dual_fpt(inst(big_star, 50, Variant.MAX_LLT), SolverBudget(oracle_vertex_limit=3))
+    assert err.value.kernel.instance.graph.vertex_count == 4
 
 
 def test_fpt_lifts_witnesses_through_the_kernel():
@@ -209,6 +219,31 @@ def test_fpt_agrees_with_xp(g):
             solve_dual_fpt(inst(g, k, Variant.DUAL_MAX_LLT)).answer
             == solve_dual_max_xp(g, k).answer
         )
+
+
+def _meets(variant, n, internal, k):
+    return {
+        Variant.MIN_LLT: n - internal <= k,
+        Variant.MAX_LLT: n - internal >= k,
+        Variant.DUAL_MIN_LLT: internal >= k,
+        Variant.DUAL_MAX_LLT: internal <= k,
+    }[variant]
+
+
+@given(connected_graphs(max_n=8))
+@settings(max_examples=60, deadline=None)
+def test_pipeline_matches_the_profile_on_every_variant(g):
+    n = g.vertex_count
+    profile = profile_of(g)
+    for variant in Variant:
+        for k in range(n + 2):
+            d = solve_dual_fpt(inst(g, k, variant))
+            assert d.answer == any(_meets(variant, n, c, k) for c in profile), (
+                g.adjacency, variant, k,
+            )
+            if d.answer:
+                assert is_dfs_tree(g, d.witness)
+                assert _meets(variant, n, d.witness.internal_count(), k)
 
 
 # ---------------------------------------------------------------------------
