@@ -23,7 +23,6 @@ from .graphs import (
     components_outside,
     greedy_cover,
     is_connected,
-    pendant_set,
 )
 from .kernel import (
     Decided,
@@ -41,8 +40,6 @@ from .kernel import (
     kernelize,
     reduce_with_cover,
     size_bound,
-    trim_common_neighbors,
-    trim_pendants,
 )
 from .solve import (
     BudgetExceeded,

@@ -134,35 +134,24 @@ def _parse_dimacs(lines: list[str]) -> LoadedGraph:
 
 
 def _assemble(n: int, raw_edges: list[tuple[str, str, int]]) -> LoadedGraph:
-    seen_labels = []
+    ids: dict[str, int] = {}  # distinct labels in order of first appearance
     for a, b, _ in raw_edges:
-        for lab in (a, b):
-            if lab not in seen_labels:
-                seen_labels.append(lab)
-    numeric = all(_as_id(lab, n) is not None for lab in seen_labels)
-    if numeric:
-        labels = tuple(str(i) for i in range(n))
-        ids = {lab: int(lab) for lab in seen_labels}
-    else:
-        if len(seen_labels) > n:
-            extra = seen_labels[n]
-            lineno = next(ln for a, b, ln in raw_edges if extra in (a, b))
-            raise LabelOverflowError(
-                f"label {extra!r} is the {len(seen_labels)}th distinct label but only {n} vertices declared",
-                lineno,
-            )
-        ids = {lab: i for i, lab in enumerate(seen_labels)}
-        filler = []
-        used = set(seen_labels)
-        i = 0
-        while len(seen_labels) + len(filler) < n:
-            cand = str(i)
-            if cand not in used:
-                filler.append(cand)
-            i += 1
-        labels = tuple(seen_labels + filler)
-        ids.update({lab: len(seen_labels) + j for j, lab in enumerate(filler)})
-    return _build(n, labels, ids, raw_edges)
+        ids.setdefault(a, len(ids))
+        ids.setdefault(b, len(ids))
+    if all(_as_id(lab, n) is not None for lab in ids):
+        return _build(n, tuple(str(i) for i in range(n)), {lab: int(lab) for lab in ids}, raw_edges)
+    if len(ids) > n:
+        extra = list(ids)[n]
+        lineno = next(ln for a, b, ln in raw_edges if extra in (a, b))
+        raise LabelOverflowError(
+            f"label {extra!r} is the {len(ids)}th distinct label but only {n} vertices declared",
+            lineno,
+        )
+    i = 0
+    while len(ids) < n:  # fill up with the lowest numerals not already taken
+        ids.setdefault(str(i), len(ids))
+        i += 1
+    return _build(n, tuple(ids), ids, raw_edges)
 
 
 def _as_id(label: str, n: int) -> int | None:

@@ -121,14 +121,6 @@ def greedy_cover(g: Graph) -> tuple[tuple[tuple[int, int], ...], frozenset[int]]
     return tuple(matching), frozenset(matched)
 
 
-def pendant_set(g: Graph, cover: Iterable[int], v: int) -> frozenset[int]:
-    """Degree-1 vertices outside `cover` whose unique neighbor is v (requires v in cover)."""
-    cov = set(cover)
-    return frozenset(
-        w for w in g.adjacency[v] if w not in cov and g.degree(w) == 1
-    )
-
-
 def components_outside(g: Graph, removed: Iterable[int]) -> list[frozenset[int]]:
     """Connected components of the subgraph induced on V(g) minus `removed`.
 

@@ -9,17 +9,26 @@ every t, whether some DFS tree has exactly t internal vertices. Two rules:
   shared outside neighbors, then deletes outside vertices with two or more
   cover neighbors that no pair labeled.
 
+Both rules run in one pass over the input ids, and the graph is rebuilt
+once. Each outside vertex is looked at once: with degree 1 it is a pendant
+of its cover neighbor, with two or more cover neighbors it is a rule-2
+candidate. Applying the rules in sequence gives the same deletions: a
+pendant has one neighbor, so it is never a rule-2 candidate and never on a
+shared list, and deleting pendants changes neither the other vertices'
+cover neighbors nor their relative id order (relabelling is monotone), so
+"the 2s lowest" picks the same vertices before and after rule 1.
+
 Each kernelization is a pure transformation; calls are independent and safe
 to run concurrently.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 
-from .graphs import Graph, greedy_cover, is_connected, pendant_set
-from .trees import dfs_any
+from .graphs import Graph, greedy_cover, is_connected
+from .trees import AncestorIndex, RootedSpanningTree, dfs_any
 
 
 class Variant(str, Enum):
@@ -76,12 +85,13 @@ class UnlabeledDeleted:
 
 @dataclass
 class ReductionTrace:
-    """Audit log of one reduction: which cover drove it, what was deleted, and
-    how surviving original ids map to dense kernel ids."""
+    """Audit log of one reduction, in input ids: which cover drove it, what
+    was deleted, and which vertices survived (kernel id i is input id
+    ``survivors[i]``)."""
 
     cover: tuple[int, ...]
     events: tuple[PendantDeleted | UnlabeledDeleted, ...]
-    vertex_map: dict[int, int] = field(repr=False)
+    survivors: tuple[int, ...]
 
     def removed_vertices(self) -> frozenset[int]:
         return frozenset(e.removed for e in self.events)
@@ -94,87 +104,76 @@ class ReductionTrace:
     def unlabeled_deletions(self) -> int:
         return sum(1 for e in self.events if isinstance(e, UnlabeledDeleted))
 
+    def lift(self, g: Graph, kernel_tree: RootedSpanningTree) -> RootedSpanningTree:
+        """Pull a DFS tree of the kernel back to `g`, the graph this trace reduced.
+
+        Survivors keep their tree shape. Deleted pendants rejoin as leaf
+        children of the cover vertex that kept them; deleted multi-neighbor
+        vertices rejoin as leaves under their deepest neighbor. Both
+        re-attachments leave the internal-vertex count unchanged: a cover
+        vertex that lost pendants still has a pendant child, and a deleted
+        vertex's neighborhood is a chain of internal vertices in any kernel
+        tree.
+        """
+        orig = self.survivors
+        parent: dict[int, int | None] = {
+            orig[v]: (None if p is None else orig[p]) for v, p in kernel_tree.parent.items()
+        }
+        root = orig[kernel_tree.root]
+        idx = AncestorIndex.build(RootedSpanningTree(root, parent))  # keeps no reference
+        for ev in self.events:
+            if isinstance(ev, PendantDeleted):
+                parent[ev.removed] = ev.kept_under
+            else:
+                parent[ev.removed] = idx.deepest(g.adjacency[ev.removed])
+        return RootedSpanningTree(root, parent)
+
 
 def size_bound(s: int) -> int:
     """Vertex bound of the cover-driven reduction: s^2(s-1) + 3s (meaningful for s >= 1)."""
     return s * s * (s - 1) + 3 * s
 
 
-def trim_pendants(g: Graph, cover) -> tuple[Graph, ReductionTrace]:
-    """Keep at most two pendant neighbors per cover vertex, delete the rest.
+def reduce_with_cover(g: Graph, cover) -> tuple[Graph, ReductionTrace]:
+    """Run both trimming rules; the result has at most s^2(s-1)+3s vertices.
 
-    The two lowest-id pendants stay; the choice is arbitrary for
-    correctness, fixed for reproducibility.
-    """
-    events = []
-    doomed: set[int] = set()
-    cov = sorted(cover)
-    for v in cov:
-        pend = sorted(pendant_set(g, cov, v))
-        for u in pend[2:]:
-            events.append(PendantDeleted(kept_under=v, removed=u))
-            doomed.add(u)
-    reduced, survivors = g.without(doomed)
-    vmap = {old: new for new, old in enumerate(survivors)}
-    return reduced, ReductionTrace(tuple(cov), tuple(events), vmap)
-
-
-def trim_common_neighbors(g: Graph, cover) -> tuple[Graph, ReductionTrace]:
-    """Delete unlabeled outside vertices having two or more cover neighbors.
-
-    For each unordered cover pair, the min(|shared|, 2s) lowest-id shared
-    outside neighbors get a label; labels accumulate across pairs, so one
-    label from any pair is enough to survive. Assumes pendant trimming
-    already ran (the rules are applied in that order).
+    Requires g connected and `cover` a vertex cover of g. The achievable
+    internal-vertex counts of DFS trees are preserved exactly. Rule 1 keeps
+    the two lowest-id pendants of each cover vertex. Rule 2 gives, for each
+    unordered cover pair, a label to the min(|shared|, 2s) lowest-id shared
+    outside neighbors; one label from any pair is enough to survive. The
+    trace lists the pendant deletions by cover vertex, then the unlabeled
+    ones, each in ascending id. With an empty cover (only possible for
+    edgeless graphs) the graph passes through unchanged and the bound does
+    not apply.
     """
     cov = sorted(cover)
     cov_set = frozenset(cov)
-    s = len(cov)
-    cap = 2 * s
-    # shared[pair] = outside vertices adjacent to both members of the pair
+    cap = 2 * len(cov)
+    pendants: dict[int, list[int]] = {}
+    # shared[pair] = outside vertices adjacent to both members of the pair, ascending
     shared: dict[tuple[int, int], list[int]] = {}
     multi: list[int] = []
-    for w in range(g.vertex_count):
+    for w, nbrs in enumerate(g.adjacency):
         if w in cov_set:
             continue
-        cnbrs = sorted(u for u in g.adjacency[w] if u in cov_set)
+        if len(nbrs) == 1:
+            pendants.setdefault(nbrs[0], []).append(w)
+            continue
+        cnbrs = [u for u in nbrs if u in cov_set]
         if len(cnbrs) >= 2:
             multi.append(w)
             for pair in combinations(cnbrs, 2):
                 shared.setdefault(pair, []).append(w)
     labeled: set[int] = set()
-    for pair in sorted(shared):
-        ws = sorted(shared[pair])
+    for ws in shared.values():
         labeled.update(ws[:cap])
-    doomed = [w for w in multi if w not in labeled]
-    events = tuple(UnlabeledDeleted(removed=w) for w in sorted(doomed))
-    reduced, survivors = g.without(doomed)
-    vmap = {old: new for new, old in enumerate(survivors)}
-    return reduced, ReductionTrace(tuple(cov), events, vmap)
-
-
-def reduce_with_cover(g: Graph, cover) -> tuple[Graph, ReductionTrace]:
-    """Run both trimming rules; the result has at most s^2(s-1)+3s vertices.
-
-    Requires g connected and `cover` a vertex cover of g. The achievable
-    internal-vertex counts of DFS trees are preserved exactly. The returned
-    trace speaks in the original vertex ids. With an empty cover (only
-    possible for edgeless graphs) the graph passes through unchanged and the
-    bound does not apply.
-    """
-    g1, t1 = trim_pendants(g, cover)
-    cover1 = [t1.vertex_map[v] for v in t1.cover]
-    g2, t2 = trim_common_neighbors(g1, cover1)
-    back1 = {new: old for old, new in t1.vertex_map.items()}
-    events = t1.events + tuple(
-        UnlabeledDeleted(removed=back1[e.removed]) for e in t2.events
-    )
-    vmap = {
-        orig: t2.vertex_map[mid]
-        for orig, mid in t1.vertex_map.items()
-        if mid in t2.vertex_map
-    }
-    return g2, ReductionTrace(t1.cover, events, vmap)
+    events: list[PendantDeleted | UnlabeledDeleted] = [
+        PendantDeleted(kept_under=v, removed=u) for v in cov for u in pendants.get(v, ())[2:]
+    ]
+    events += [UnlabeledDeleted(removed=w) for w in multi if w not in labeled]
+    reduced, survivors = g.without(e.removed for e in events)
+    return reduced, ReductionTrace(tuple(cov), tuple(events), survivors)
 
 
 @dataclass(frozen=True)

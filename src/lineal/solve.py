@@ -52,15 +52,7 @@ import time
 from dataclasses import dataclass
 
 from .graphs import Graph, components_outside, is_connected
-from .kernel import (
-    Decided,
-    KernelOutcome,
-    PendantDeleted,
-    ProblemInstance,
-    ReductionTrace,
-    Variant,
-    kernelize,
-)
+from .kernel import Decided, KernelOutcome, ProblemInstance, Variant, kernelize
 from .trees import (
     ORACLE_LIMIT_DEFAULT,
     AncestorIndex,
@@ -306,19 +298,35 @@ def _checked(g: Graph, t: RootedSpanningTree, variant: Variant, k: int) -> Roote
     return t
 
 
+def _xp(
+    g: Graph, k: int, variant: Variant, check, budget: SolverBudget | None, **search
+) -> Decision:
+    """Shared frame of the two tuple solvers: settle the trivial cases, run
+    the tuple search with `check`, validate the accepted witness.
+
+    With k = 0 or n <= k every DFS tree has the same answer (its internal
+    count is at most n - 1, and it is 0 only on one vertex), so one DFS
+    decides.
+    """
+    if g.vertex_count == 0 or not is_connected(g):
+        return Decision(False)
+    if k == 0 or g.vertex_count <= k:
+        t = dfs_any(g, 0)
+        lo, hi = variant.internal_bounds(g.vertex_count, k)
+        return Decision(True, witness=t) if lo <= t.internal_count() <= hi else Decision(False)
+    hit = _tuple_search(g, k, check, budget or SolverBudget(), **search)
+    if hit is None:
+        return Decision(False)
+    tup, witness = hit
+    return Decision(True, witness=_checked(g, witness, variant, k), accepted_tuple=tup)
+
+
 def solve_dual_min_xp(g: Graph, k: int, budget: SolverBudget | None = None) -> Decision:
     """Does g have a DFS tree with at least k internal vertices? Time n^O(k).
 
     Guesses the k internal vertices in discovery order; a guess is accepted
     when its tree extends to a DFS tree keeping all k internal.
     """
-    budget = budget or SolverBudget()
-    if g.vertex_count == 0 or not is_connected(g):
-        return Decision(False)
-    if k == 0:
-        return Decision(True, witness=dfs_any(g, 0))
-    if g.vertex_count <= k:
-        return Decision(False)
 
     def check(root, parent, order):
         t = RootedSpanningTree(root, parent)  # live view; the extension copies it
@@ -329,11 +337,7 @@ def solve_dual_min_xp(g: Graph, k: int, budget: SolverBudget | None = None) -> D
             return None
         return _extend_keeping_covered_internal(g, t, idx)
 
-    hit = _tuple_search(g, k, check, budget, all_internal=True)
-    if hit is None:
-        return Decision(False)
-    tup, witness = hit
-    return Decision(True, witness=_checked(g, witness, Variant.DUAL_MIN_LLT, k), accepted_tuple=tup)
+    return _xp(g, k, Variant.DUAL_MIN_LLT, check, budget, all_internal=True)
 
 
 def solve_dual_max_xp(g: Graph, k: int, budget: SolverBudget | None = None) -> Decision:
@@ -342,16 +346,6 @@ def solve_dual_max_xp(g: Graph, k: int, budget: SolverBudget | None = None) -> D
     Guesses the k vertices allowed to be internal (including the root); all
     other vertices must be attachable as leaves.
     """
-    budget = budget or SolverBudget()
-    if g.vertex_count == 0 or not is_connected(g):
-        return Decision(False)
-    if g.vertex_count <= k:
-        return Decision(True, witness=dfs_any(g, 0))
-    if k == 0:
-        # Only a one-vertex graph has a DFS tree with no internal vertex.
-        if g.vertex_count == 1:
-            return Decision(True, witness=dfs_any(g, 0))
-        return Decision(False)
 
     def check(root, parent, order):
         if not _outside_is_independent(g, parent):
@@ -362,36 +356,7 @@ def solve_dual_max_xp(g: Graph, k: int, budget: SolverBudget | None = None) -> D
             return None
         return _extend_keeping_outside_leaves(g, t, idx)
 
-    hit = _tuple_search(g, k, check, budget, cover=True)
-    if hit is None:
-        return Decision(False)
-    tup, witness = hit
-    return Decision(True, witness=_checked(g, witness, Variant.DUAL_MAX_LLT, k), accepted_tuple=tup)
-
-
-def _lift_witness(g: Graph, trace: ReductionTrace, kernel_tree: RootedSpanningTree) -> RootedSpanningTree:
-    """Pull a kernel witness back to the original graph.
-
-    Survivor vertices keep their tree shape. Deleted pendants rejoin as leaf
-    children of the cover vertex that kept them; deleted multi-neighbor
-    vertices rejoin as leaves under their deepest surviving neighbor. Both
-    re-attachments leave the internal-vertex count unchanged: a cover vertex
-    that lost pendants still has a pendant child, and a deleted vertex's
-    neighborhood is a chain of internal vertices in any kernel tree.
-    """
-    back = {new: old for old, new in trace.vertex_map.items()}
-    parent: dict[int, int | None] = {
-        back[v]: (None if p is None else back[p]) for v, p in kernel_tree.parent.items()
-    }
-    root = back[kernel_tree.root]
-    base = RootedSpanningTree(root, dict(parent))
-    idx = AncestorIndex.build(base)
-    for ev in trace.events:
-        if isinstance(ev, PendantDeleted):
-            parent[ev.removed] = ev.kept_under
-        else:
-            parent[ev.removed] = idx.deepest(g.adjacency[ev.removed])
-    return RootedSpanningTree(root, parent)
+    return _xp(g, k, Variant.DUAL_MAX_LLT, check, budget, cover=True)
 
 
 def solve_dual_fpt_with_kernel(
@@ -424,12 +389,17 @@ def solve_dual_fpt_with_kernel(
         start = root if variant is Variant.DUAL_MIN_LLT else 0
         witness = _checked(g, dfs_any(g, start), variant, k)
         return Decision(True, witness=witness, reason=outcome.reason), outcome
-    kern = outcome.instance
+    kern, trace = outcome.instance, outcome.trace
     try:
         if variant is Variant.DUAL_MIN_LLT:
             sub = solve_dual_min_xp(kern.graph, k, budget)
         elif variant is Variant.DUAL_MAX_LLT:
             sub = solve_dual_max_xp(kern.graph, k, budget)
+        elif kern.graph.vertex_count > budget.oracle_vertex_limit:
+            raise OracleLimitError(
+                f"kernel has {kern.graph.vertex_count} vertices (input {g.vertex_count}), "
+                f"oracle limit is {budget.oracle_vertex_limit}"
+            )
         else:
             sub = solve_exact_oracle(kern, budget)
     except (BudgetExceeded, OracleLimitError) as exc:
@@ -438,11 +408,10 @@ def solve_dual_fpt_with_kernel(
     reason = sub.reason or "tuple search on the kernel"  # the oracle names itself
     if not sub.answer:
         return Decision(False, reason=reason), outcome
-    lifted = _checked(g, _lift_witness(g, outcome.trace, sub.witness), variant, k)
-    tup = None
-    if sub.accepted_tuple is not None:
-        back = {new: old for old, new in outcome.trace.vertex_map.items()}
-        tup = tuple(back[v] for v in sub.accepted_tuple)
+    lifted = _checked(g, trace.lift(g, sub.witness), variant, k)
+    tup = sub.accepted_tuple
+    if tup is not None:
+        tup = tuple(trace.survivors[v] for v in tup)
     return Decision(True, witness=lifted, accepted_tuple=tup, reason=reason), outcome
 
 

@@ -1,11 +1,18 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lineal import parse_graph
+from lineal import Graph, generate, parse_graph, serialize_graph
 from lineal.cli import run_command
 
-from helpers import C4
+from helpers import C4, connected_graphs
 
 
 @pytest.fixture()
@@ -140,6 +147,17 @@ def test_solve_max_llt_enumerates_the_kernel(capsys, tmp_path):
     )
     assert code == 0
     assert report_of(out)["leaves"] == 50
+
+
+def test_undecided_oracle_on_the_kernel_names_the_kernel(capsys, tmp_path):
+    path = tmp_path / "bc40.txt"
+    path.write_text(serialize_graph(generate("bounded_cover", seed=0, n=40, s=4, p=0.3)))
+    code, out, _ = run(capsys, "solve", str(path), "--variant", "min-llt", "-k", "33")
+    assert code == 2
+    rep = report_of(out)
+    assert rep["outcome"] == "undecided"
+    assert rep["reason"] == "kernel has 23 vertices (input 40), oracle limit is 10"
+    assert (rep["kernel"]["n_before"], rep["kernel"]["n_after"]) == (40, 23)
 
 
 def test_solve_reports_a_kernelization_the_front_end_decided(capsys, tmp_path):
@@ -291,3 +309,35 @@ def test_bench_kernelizes_once_per_cell(capsys, monkeypatch, variant, ks):
     assert len(rows) == 6
     assert len(calls) == 6
     assert any(row.split(",")[5] for row in rows)  # some cell reached the search
+
+
+@st.composite
+def any_graphs(draw, max_n: int = 7):
+    n = draw(st.integers(0, max_n))
+    pairs = list(combinations(range(n), 2))
+    flags = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [pair for flag, pair in zip(flags, pairs) if flag])
+
+
+@given(st.one_of(connected_graphs(max_n=7), any_graphs()))
+@settings(max_examples=30, deadline=None)
+def test_exit_code_matches_the_reported_outcome(g):
+    exits = {"yes": 0, "no": 1, "undecided": 2}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(serialize_graph(g))
+        for command in ("solve", "oracle"):
+            for variant in ("min-llt", "max-llt", "dual-min", "dual-max"):
+                for k in range(g.vertex_count + 2):
+                    out = io.StringIO()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                        code = run_command(
+                            [command, path, "--variant", variant, "-k", str(k), "--time-limit", "1"]
+                        )
+                    assert code in {0, 1, 2, 64, 65, 70}, (command, variant, k)
+                    if code in exits.values():
+                        outcome = report_of(out.getvalue())["outcome"]
+                        assert code == exits[outcome], (command, variant, k)
+                    else:
+                        assert out.getvalue() == ""

@@ -6,7 +6,6 @@ from lineal import (
     components_outside,
     greedy_cover,
     is_connected,
-    pendant_set,
 )
 
 from helpers import (
@@ -14,7 +13,6 @@ from helpers import (
     K3,
     P3,
     P4,
-    STAR3,
     atlas_connected,
     bf_is_connected,
     bf_min_cover,
@@ -110,12 +108,6 @@ def test_greedy_cover_within_twice_minimum():
 @settings(max_examples=30)
 def test_greedy_cover_deterministic(g):
     assert greedy_cover(g) == greedy_cover(Graph(g.vertex_count, list(g.edges())))
-
-
-def test_pendant_set_examples():
-    assert pendant_set(STAR3, {0}, 0) == {1, 2, 3}
-    assert pendant_set(P3, {1}, 1) == {0, 2}
-    assert pendant_set(K3, {0, 1}, 0) == frozenset()
 
 
 def test_components_outside_examples():

@@ -18,8 +18,6 @@ from lineal import (
     reduce_with_cover,
     size_bound,
     solve_exact_oracle,
-    trim_common_neighbors,
-    trim_pendants,
 )
 
 from helpers import C4, P3, P4, STAR5, bf_min_cover, connected_graphs, profile_of
@@ -37,34 +35,34 @@ def kernel_answer(outcome):
 
 
 # ---------------------------------------------------------------------------
-# pendant trimming
+# pendant trimming (rule 1); no vertex here has two cover neighbors
 
 def test_trim_pendants_keeps_two_lowest():
     g = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
-    reduced, trace = trim_pendants(g, {0})
+    reduced, trace = reduce_with_cover(g, {0})
     assert reduced == Graph(3, [(0, 1), (0, 2)])
     assert trace.events == (
         PendantDeleted(kept_under=0, removed=3),
         PendantDeleted(kept_under=0, removed=4),
     )
-    assert trace.vertex_map == {0: 0, 1: 1, 2: 2}
+    assert trace.survivors == (0, 1, 2)
 
 
 def test_trim_pendants_no_op_below_threshold():
-    reduced, trace = trim_pendants(P3, {1})
+    reduced, trace = reduce_with_cover(P3, {1})
     assert reduced == P3 and trace.events == ()
     g = Graph(5, [(0, 1), (0, 2), (3, 1), (4, 1)])
-    reduced, trace = trim_pendants(g, {0, 1})
+    reduced, trace = reduce_with_cover(g, {0, 1})
     assert reduced == g and trace.events == ()
 
 
 # ---------------------------------------------------------------------------
-# common-neighbor trimming
+# common-neighbor trimming (rule 2); no vertex here is a pendant
 
 def test_trim_common_neighbors_caps_at_twice_cover():
     # cover {0,1}, seven shared neighbors: keep the 4 lowest, delete 3
     g = Graph(9, [(0, w) for w in range(2, 9)] + [(1, w) for w in range(2, 9)])
-    reduced, trace = trim_common_neighbors(g, {0, 1})
+    reduced, trace = reduce_with_cover(g, {0, 1})
     assert sorted(trace.removed_vertices()) == [6, 7, 8]
     assert reduced.vertex_count == 6
     assert internal_profile(g) == internal_profile(reduced)
@@ -72,7 +70,7 @@ def test_trim_common_neighbors_caps_at_twice_cover():
 
 def test_trim_common_neighbors_no_op_when_small():
     g = Graph(5, [(0, w) for w in (2, 3, 4)] + [(1, w) for w in (2, 3, 4)])
-    reduced, trace = trim_common_neighbors(g, {0, 1})
+    reduced, trace = reduce_with_cover(g, {0, 1})
     assert reduced == g and trace.events == ()
 
 
@@ -85,14 +83,33 @@ def test_any_label_keeps_a_vertex():
         edges += [(0, w), (1, w)]
     edges += [(0, 9), (1, 9), (2, 9), (0, 10), (1, 10)]
     g = Graph(11, edges)
-    reduced, trace = trim_common_neighbors(g, {0, 1, 2})
+    reduced, trace = reduce_with_cover(g, {0, 1, 2})
     assert trace.events == (UnlabeledDeleted(removed=10),)
-    assert 9 in trace.vertex_map
+    assert 9 in trace.survivors
     assert internal_profile(g, limit=11) == internal_profile(reduced, limit=11)
 
 
 # ---------------------------------------------------------------------------
 # the combined reduction
+
+def test_both_rules_report_input_ids():
+    # cover {0,1} (s = 2, label quota 4); shared neighbors 2-6 and 10, pendants
+    # 7-9 of 0 and 11-13 of 1: rule 2 deletes 6 (below the pendants deleted)
+    # and 10 (between them)
+    edges = [(c, w) for c in (0, 1) for w in (2, 3, 4, 5, 6, 10)]
+    edges += [(0, w) for w in (7, 8, 9)] + [(1, w) for w in (11, 12, 13)]
+    g = Graph(14, edges)
+    reduced, trace = reduce_with_cover(g, {1, 0})
+    assert trace.cover == (0, 1)
+    assert trace.events == (
+        PendantDeleted(kept_under=0, removed=9),
+        PendantDeleted(kept_under=1, removed=13),
+        UnlabeledDeleted(removed=6),
+        UnlabeledDeleted(removed=10),
+    )
+    assert trace.survivors == (0, 1, 2, 3, 4, 5, 7, 8, 11, 12)
+    assert reduced == g.without({6, 9, 10, 13})[0]
+    assert (trace.pendant_deletions, trace.unlabeled_deletions) == (2, 2)
 
 def test_reduce_star_to_bound():
     reduced, trace = reduce_with_cover(STAR5, {0})
@@ -116,8 +133,9 @@ def test_reduce_preserves_profile_and_bound(g):
         assert reduced.vertex_count <= size_bound(len(cover))
     # deletions never touch the cover
     assert not trace.removed_vertices() & cover
-    # the id map is injective onto the kernel's vertices
-    assert sorted(trace.vertex_map.values()) == list(range(reduced.vertex_count))
+    # the survivors are the undeleted vertices, one per kernel vertex, ascending
+    assert trace.survivors == tuple(sorted(set(range(g.vertex_count)) - trace.removed_vertices()))
+    assert len(trace.survivors) == reduced.vertex_count
 
 
 @given(connected_graphs(max_n=8))
@@ -125,8 +143,8 @@ def test_reduce_preserves_profile_and_bound(g):
 def test_reduce_is_idempotent(g):
     _, cover = greedy_cover(g)
     reduced, trace = reduce_with_cover(g, cover)
-    survivors = {trace.vertex_map[v] for v in cover if v in trace.vertex_map}
-    again, trace2 = reduce_with_cover(reduced, survivors)
+    kernel_cover = {i for i, v in enumerate(trace.survivors) if v in cover}
+    again, trace2 = reduce_with_cover(reduced, kernel_cover)
     assert again == reduced
     assert trace2.events == ()
 
@@ -138,13 +156,12 @@ def test_post_rule_structure_bounds():
         g = bounded_cover_graph(40, 4, 0.4, seed)
         _, cover = greedy_cover(g)
         s = len(cover)
-        g1, t1 = trim_pendants(g, cover)
-        cov1 = {t1.vertex_map[v] for v in cover}
-        pendants = [v for v in range(g1.vertex_count) if v not in cov1 and g1.degree(v) == 1]
+        reduced, trace = reduce_with_cover(g, cover)
+        kernel_cover = {i for i, v in enumerate(trace.survivors) if v in cover}
+        outside = [v for v in range(reduced.vertex_count) if v not in kernel_cover]
+        pendants = [v for v in outside if reduced.degree(v) == 1]
         assert len(pendants) <= 2 * s
-        g2, t2 = trim_common_neighbors(g1, cov1)
-        cov2 = {t2.vertex_map[v] for v in cov1}
-        busy = [v for v in range(g2.vertex_count) if v not in cov2 and g2.degree(v) >= 2]
+        busy = [v for v in outside if reduced.degree(v) >= 2]
         assert len(busy) <= s * s * (s - 1)
 
 
