@@ -90,7 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_budget_args(p):
         p.add_argument("--budget-tuples", type=int, default=None, help="max tuple-prefix expansions")
-        p.add_argument("--time-limit", type=float, default=None, help="search time limit in seconds")
+        p.add_argument("--time-limit", type=float, default=None,
+                       help="time limit in seconds for the whole decision, kernelization included")
         p.add_argument("--oracle-limit", type=int, default=None,
                        help=f"max vertices for exhaustive enumeration (env {ORACLE_LIMIT_ENV})")
 

@@ -15,7 +15,7 @@ Extending a prefix by w is possible exactly when w has a neighbor on the
 simulation stack and none among the already-popped vertices, which keeps the
 walk equivalent to simulating every tuple from scratch.
 
-Four prunings cut the walk. Each drops only prefixes that no accepting
+Six prunings cut the walk. Each drops only prefixes that no accepting
 tuple extends, or mirror images of searched ones, so the lexicographically
 first accepting tuple is unchanged:
 
@@ -41,6 +41,23 @@ first accepting tuple is unchanged:
 * Last vertex covers (dual-max). Everything outside the tuple must be
   independent, so the vertex completing a tuple must be an end of every
   edge still outside the prefix.
+* Cover counting bound (dual-min). Take a minimum vertex cover C of the
+  searched graph. In a DFS tree every internal vertex outside C has a child,
+  which is in C because the two are adjacent, and distinct parents have
+  distinct children. So the k tuple vertices number at most the members of
+  C that join the tuple plus the members of C whose parent lies outside C.
+  The root has no parent, a prefix vertex of C under a prefix parent in C
+  keeps that parent, and a vertex of C that is shut or has a shut neighbor
+  never joins the tuple. A prefix rooted at r is dropped when
+  2|C| - [r in C] - (prefix vertices of C under a parent in C) - (such
+  excluded vertices of C) < k. C is only looked for up to size ceil(k/2),
+  where the bound is tight; without such a C there is no bound.
+* Degree bound (dual-max). A leaf's neighbors are all its ancestors, which
+  are internal, so in a tree with at most k internal vertices every vertex
+  of degree above k is internal and must be in the tuple. More than k such
+  vertices is a no; a prefix is dropped when fewer tuple slots are left
+  than such vertices outside it, or when one of them is shut or has a shut
+  neighbor and so can never be added.
 
 Tuple prefixes could be partitioned across workers; the implementation is
 sequential and reports the lexicographically first accepting tuple, which is
@@ -49,9 +66,10 @@ the contract partitioned workers would have to preserve.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 
-from .graphs import Graph, components_outside, is_connected
+from .graphs import Graph, components_outside, greedy_cover, is_connected
 from .kernel import Decided, KernelOutcome, ProblemInstance, Variant, kernelize
 from .trees import (
     ORACLE_LIMIT_DEFAULT,
@@ -124,6 +142,48 @@ def _twin_links(g: Graph) -> list[int]:
     return prev
 
 
+def _min_cover(g: Graph, limit: int, deadline: float) -> frozenset[int] | None:
+    """A minimum vertex cover of g if one has at most `limit` vertices, else None.
+
+    The greedy matching is a lower bound, so sizes are tried upward from it.
+    """
+    matching, _ = greedy_cover(g)
+    edges = list(g.edges())
+    for b in range(len(matching), limit + 1):
+        found = _cover_within(edges, b, deadline)
+        if found is not None:
+            return frozenset(found)
+    return None
+
+
+def _cover_within(edges: list[tuple[int, int]], b: int, deadline: float) -> list[int] | None:
+    """A vertex cover of `edges` with at most b vertices, or None.
+
+    Buss rule: a vertex of degree above b is in every such cover, and once
+    none is left each cover vertex covers at most b edges, so more than b*b
+    edges is a no. Otherwise branch on the first edge's two ends.
+    """
+    if time.perf_counter() > deadline:
+        raise BudgetExceeded("time")
+    if not edges:
+        return []
+    degree = Counter(x for e in edges for x in e)
+    forced = {v for v, d in degree.items() if d > b}
+    if forced:
+        if len(forced) > b:
+            return None
+        rest = [(u, v) for u, v in edges if u not in forced and v not in forced]
+        sub = _cover_within(rest, b - len(forced), deadline)
+        return None if sub is None else sorted(forced) + sub
+    if len(edges) > b * b:
+        return None
+    for x in edges[0]:
+        sub = _cover_within([e for e in edges if x not in e], b - 1, deadline)
+        if sub is not None:
+            return [x] + sub
+    return None
+
+
 def _tuple_search(
     g: Graph,
     k: int,
@@ -147,8 +207,9 @@ def _tuple_search(
     vertices and their neighbors (see the module docstring). With
     `all_internal` (dual-min) a vertex without a neighbor outside the
     prefix is not added; with `cover` (dual-max) the last vertex must be an
-    end of the first edge still outside the prefix. The stack and the
-    counts are only kept for prefixes that grow on.
+    end of the first edge still outside the prefix. Prefixes that break the
+    counting bound of the variant are dropped before they count as visits.
+    The stack and the counts are only kept for prefixes that grow on.
     """
     n = g.vertex_count
     adj = g.adjacency
@@ -156,6 +217,13 @@ def _tuple_search(
     prev_twin = _twin_links(g)
     deadline = time.perf_counter() + budget.time_limit
     visits = 0
+    # dual-min: a minimum cover of size at most ceil(k/2), if there is one
+    cov = (_min_cover(g, (k + 1) // 2, deadline) if all_internal else None) or frozenset()
+    linked = 0  # non-root prefix vertices of cov under a prefix parent in cov
+    # dual-max: the vertices of degree above k, all of them internal
+    high = [v for v in range(n) if len(adj[v]) > k] if cover else []
+    if len(high) > k:
+        return None
 
     parent: dict[int, int | None] = {}
     order: list[int] = []
@@ -174,8 +242,18 @@ def _tuple_search(
                         for y in adj[x]:
                             near[y] += step
 
+    def hopeless() -> bool:
+        """No accepting tuple extends the prefix, by the counting bounds."""
+        if cov:
+            dead = sum(1 for c in cov if c not in parent and (shut[c] or near[c]))
+            return 2 * len(cov) - (order[0] in cov) - linked - dead < k
+        left = [v for v in high if v not in parent]
+        return len(left) > k - len(order) or any(shut[v] or near[v] for v in left)
+
     def descend() -> bool:
-        nonlocal visits
+        nonlocal visits, linked
+        if hopeless():
+            return False
         visits += 1
         if visits > budget.max_tuple_count:
             raise BudgetExceeded("tuple")
@@ -204,6 +282,8 @@ def _tuple_search(
                 j -= 1
             parent[w] = stack[j]
             order.append(w)
+            link = w in cov and stack[j] in cov
+            linked += link
             if grow:
                 cut = stack[j + 1 :]
                 del stack[j + 1 :]
@@ -216,6 +296,7 @@ def _tuple_search(
                 stack.extend(cut)
             else:
                 done = descend()
+            linked -= link
             order.pop()
             del parent[w]
             if done:
@@ -376,9 +457,12 @@ def solve_dual_fpt_with_kernel(
     to the original graph and validated there; an accepted tuple is reported
     in original ids. A caller that already holds ``kernelize(inst,
     root=root)`` passes it as `kernel` instead of having the instance
-    kernelized again. A BudgetExceeded or OracleLimitError raised on the
-    kernel carries the kernel outcome.
+    kernelized again. The time limit runs from entry: the search or the
+    oracle gets what kernelization left, and none left is a time budget
+    exhausted. A BudgetExceeded or OracleLimitError raised on the kernel
+    carries the kernel outcome.
     """
+    start = time.perf_counter()
     budget = budget or SolverBudget()
     g, k, variant = inst.graph, inst.k, inst.variant
     outcome = kernel if kernel is not None else kernelize(inst, root=root)
@@ -391,6 +475,10 @@ def solve_dual_fpt_with_kernel(
         return Decision(True, witness=witness, reason=outcome.reason), outcome
     kern, trace = outcome.instance, outcome.trace
     try:
+        left = budget.time_limit - (time.perf_counter() - start)
+        if left <= 0:
+            raise BudgetExceeded("time")
+        budget = replace(budget, time_limit=left)
         if variant is Variant.DUAL_MIN_LLT:
             sub = solve_dual_min_xp(kern.graph, k, budget)
         elif variant is Variant.DUAL_MAX_LLT:

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 
@@ -9,6 +11,7 @@ from lineal import (
     SolverBudget,
     Variant,
     is_dfs_tree,
+    kernelize,
     solve_dual_fpt,
     solve_dual_fpt_with_kernel,
     solve_dual_max_xp,
@@ -16,7 +19,8 @@ from lineal import (
     solve_exact_oracle,
     tree_respecting_ordering,
 )
-from lineal.generate import bounded_cover_graph, cycle_graph, path_graph, star_graph
+from lineal.generate import bounded_cover_graph, cycle_graph, gnp_graph, path_graph, star_graph
+from lineal.solve import _min_cover
 
 from helpers import (
     C4,
@@ -27,6 +31,7 @@ from helpers import (
     STAR5,
     atlas_connected,
     bf_first_accepted_tuple,
+    bf_min_cover,
     connected_graphs,
     profile_of,
     random_connected,
@@ -105,8 +110,8 @@ def test_tuple_completeness_instrumented():
             assert len(d.accepted_tuple) == k
 
 
-def _assert_first_accepted_tuples(g):
-    for k in range(1, g.vertex_count):
+def _assert_first_accepted_tuples(g, ks=None):
+    for k in range(1, g.vertex_count) if ks is None else ks:
         for solver, dual_min in ((solve_dual_min_xp, True), (solve_dual_max_xp, False)):
             want = bf_first_accepted_tuple(g, k, dual_min)
             d = solver(g, k)
@@ -141,6 +146,88 @@ def test_accepted_tuple_is_lexicographically_first_on_the_corpora():
 
 
 # ---------------------------------------------------------------------------
+# counting bounds
+
+P5 = path_graph(5)
+K25 = Graph(7, [(a, b) for a in (0, 1) for b in range(2, 7)])
+K33 = Graph(6, [(a, b) for a in (0, 1, 2) for b in (3, 4, 5)])
+ONE_TUPLE = SolverBudget(max_tuple_count=1)
+
+
+def test_min_cover_is_minimum_up_to_its_limit():
+    for g in atlas_connected(6) + random_connected((7, 8), per_n=10):
+        tau = len(bf_min_cover(g))
+        for limit in range(g.vertex_count):
+            got = _min_cover(g, limit, float("inf"))
+            if tau > limit:
+                assert got is None
+            else:
+                assert len(got) == tau and all(u in got or v in got for u, v in g.edges())
+
+
+def test_dual_min_cover_bound_is_tight_on_p5():
+    # tau(P5) = 2, so at most 4 internal vertices, and at most 3 from a root in {1, 3}
+    d = solve_dual_min_xp(P5, 4)
+    assert d.accepted_tuple == (0, 1, 2, 3) == bf_first_accepted_tuple(P5, 4, True)
+    assert solve_dual_min_xp(P5, 5).answer is False
+    # the same path with its cover on the lowest ids: roots 0 and 1 are capped at 3
+    p5 = Graph(5, [(2, 0), (0, 3), (3, 1), (1, 4)])
+    d = solve_dual_min_xp(p5, 4, SolverBudget(max_tuple_count=4))
+    assert d.accepted_tuple == (2, 0, 3, 1) == bf_first_accepted_tuple(p5, 4, True)
+    d = solve_dual_min_xp(p5, 3)
+    assert d.accepted_tuple == (0, 3, 1) == bf_first_accepted_tuple(p5, 3, True)
+
+
+def test_dual_min_cover_bound_answers_no_before_any_visit():
+    # tau(K_{2,5}) = 2 < k/2
+    assert solve_dual_min_xp(K25, 5, ONE_TUPLE).answer is False
+    assert bf_first_accepted_tuple(K25, 5, True) is None
+
+
+def test_dual_max_degree_bound():
+    # every vertex of K_{3,3} has degree 3 > 2, and six of them cannot all be internal
+    assert solve_dual_max_xp(K33, 2, ONE_TUPLE).answer is False
+    assert bf_first_accepted_tuple(K33, 2, False) is None
+    # the center of a star is its one vertex of degree above 1
+    star = star_graph(6)
+    d = solve_dual_max_xp(star, 1, ONE_TUPLE)
+    assert d.answer and d.accepted_tuple == (0,) == bf_first_accepted_tuple(star, 1, False)
+    # 0 is the one vertex of degree above 4: once it is in the prefix, a shut
+    # neighbor of it ends nothing
+    g = Graph(7, [(0, 1), (0, 2), (0, 4), (0, 5), (0, 6), (1, 2), (3, 6), (4, 5)])
+    d = solve_dual_max_xp(g, 4)
+    assert d.accepted_tuple == (0, 1, 4, 6) == bf_first_accepted_tuple(g, 4, False)
+
+
+def test_every_bound_term_prunes():
+    # the tuple budgets are the visits with both bounds whole; leaving out the
+    # root, parent-in-cover or excluded-cover term (dual-min), or the slot
+    # count or shut test (dual-max), visits more prefixes on these graphs
+    g = Graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 4), (2, 3), (3, 5)])
+    d = solve_dual_min_xp(g, 5, SolverBudget(max_tuple_count=10))
+    assert d.accepted_tuple == bf_first_accepted_tuple(g, 5, True)
+    g = Graph(7, [(0, 1), (0, 4), (0, 5), (1, 2), (2, 3), (2, 5), (3, 4), (3, 5), (4, 5), (5, 6)])
+    d = solve_dual_max_xp(g, 4, SolverBudget(max_tuple_count=8))
+    assert d.accepted_tuple == bf_first_accepted_tuple(g, 4, False)
+
+
+def test_accepted_tuple_is_first_around_twice_the_cover():
+    for s in (1, 2, 3):
+        for seed in range(6):
+            g = bounded_cover_graph(8, s, 0.5, seed=seed)
+            tau = len(bf_min_cover(g))
+            _assert_first_accepted_tuples(g, [k for k in range(2 * tau - 1, 2 * tau + 2) if k < 8])
+
+
+def test_search_002_reach_min_is_decided():
+    # perfbench search seed 7, instance search-002: k = 2 tau on a 115-vertex kernel
+    g = bounded_cover_graph(300, 5, 0.3, seed=991707165)
+    d = solve_dual_fpt(inst(g, 10, Variant.DUAL_MIN_LLT), SolverBudget(time_limit=5))
+    assert d.answer
+    assert is_dfs_tree(g, d.witness) and d.witness.internal_count() >= 10
+
+
+# ---------------------------------------------------------------------------
 # budgets
 
 def test_tuple_budget_raises():
@@ -158,10 +245,25 @@ def test_budget_validation():
 
 
 def test_time_budget_raises():
-    g = bounded_cover_graph(60, 6, 0.5, seed=9)
+    g = gnp_graph(30, 0.2, seed=1)  # over 1024 prefixes left after the degree bound
     with pytest.raises(BudgetExceeded) as err:
-        solve_dual_max_xp(g, 5, SolverBudget(time_limit=1e-9))
+        solve_dual_max_xp(g, 8, SolverBudget(time_limit=1e-9))
     assert err.value.phase == "time"
+
+
+def test_time_limit_covers_kernelization(monkeypatch):
+    import lineal.solve as solve
+
+    def slow_kernelize(inst, **kwargs):
+        time.sleep(0.05)
+        return kernelize(inst, **kwargs)
+
+    monkeypatch.setattr(solve, "kernelize", slow_kernelize)
+    g = bounded_cover_graph(60, 4, 0.3, seed=0)
+    with pytest.raises(BudgetExceeded) as err:
+        solve_dual_fpt(inst(g, 7, Variant.DUAL_MIN_LLT), SolverBudget(time_limit=0.01))
+    assert err.value.phase == "time"
+    assert err.value.kernel.instance.graph.vertex_count < 60
 
 
 # ---------------------------------------------------------------------------
