@@ -21,6 +21,7 @@ import os
 import sys
 import time
 import traceback
+from dataclasses import replace
 
 from .formats import (
     GraphParseError,
@@ -363,8 +364,13 @@ def cmd_bench(args) -> int:
             t0 = time.perf_counter()
             outcome = kernelize(inst)
             t1 = time.perf_counter()
+            left = budget.time_limit - (t1 - t0)  # the limit covers kernelization
             try:
-                decision, _ = solve_dual_fpt_with_kernel(inst, budget, kernel=outcome)
+                if left <= 0:
+                    raise BudgetExceeded("time")
+                decision, _ = solve_dual_fpt_with_kernel(
+                    inst, replace(budget, time_limit=left), kernel=outcome
+                )
                 answer = "yes" if decision.answer else "no"
             except (BudgetExceeded, OracleLimitError):
                 answer = "undecided"

@@ -93,7 +93,7 @@ def _parse_edgelist(lines: list[str]) -> LoadedGraph:
 
 def _parse_dimacs(lines: list[str]) -> LoadedGraph:
     n = m = -1
-    raw_edges: list[tuple[str, str, int]] = []
+    edges: list[tuple[int, int, int]] = []
     for lineno, raw in enumerate(lines, 1):
         s = raw.strip()
         if not s or s.startswith("#") or s == "c" or s.startswith("c "):
@@ -114,7 +114,7 @@ def _parse_dimacs(lines: list[str]) -> LoadedGraph:
                 raise MalformedLineError("edge before the problem line", lineno)
             if len(parts) != 3:
                 raise MalformedLineError("expected 'e <u> <v>'", lineno)
-            if len(raw_edges) == m:
+            if len(edges) == m:
                 raise MalformedLineError(f"more than the declared {m} edges", lineno)
             try:
                 u, v = int(parts[1]), int(parts[2])
@@ -122,15 +122,14 @@ def _parse_dimacs(lines: list[str]) -> LoadedGraph:
                 raise MalformedLineError("edge endpoints must be integers", lineno) from None
             if not (1 <= u <= n and 1 <= v <= n):
                 raise MalformedLineError(f"endpoint out of range 1..{n}", lineno)
-            raw_edges.append((str(u), str(v), lineno))
+            edges.append((u - 1, v - 1, lineno))
             continue
         raise MalformedLineError(f"unknown line type {parts[0]!r}", lineno)
     if n < 0:
         raise MalformedLineError("missing problem line")
-    if len(raw_edges) != m:
-        raise MalformedLineError(f"declared {m} edges but found {len(raw_edges)}")
-    labels = tuple(str(i) for i in range(1, n + 1))
-    return _build(n, labels, {lab: i for i, lab in enumerate(labels)}, raw_edges)
+    if len(edges) != m:
+        raise MalformedLineError(f"declared {m} edges but found {len(edges)}")
+    return _build(tuple(map(str, range(1, n + 1))), edges)
 
 
 def _assemble(n: int, raw_edges: list[tuple[str, str, int]]) -> LoadedGraph:
@@ -139,19 +138,22 @@ def _assemble(n: int, raw_edges: list[tuple[str, str, int]]) -> LoadedGraph:
         ids.setdefault(a, len(ids))
         ids.setdefault(b, len(ids))
     if all(_as_id(lab, n) is not None for lab in ids):
-        return _build(n, tuple(str(i) for i in range(n)), {lab: int(lab) for lab in ids}, raw_edges)
-    if len(ids) > n:
-        extra = list(ids)[n]
-        lineno = next(ln for a, b, ln in raw_edges if extra in (a, b))
-        raise LabelOverflowError(
-            f"label {extra!r} is the {len(ids)}th distinct label but only {n} vertices declared",
-            lineno,
-        )
-    i = 0
-    while len(ids) < n:  # fill up with the lowest numerals not already taken
-        ids.setdefault(str(i), len(ids))
-        i += 1
-    return _build(n, tuple(ids), ids, raw_edges)
+        ids, labels = {lab: int(lab) for lab in ids}, tuple(map(str, range(n)))
+    else:
+        if len(ids) > n:
+            extra = list(ids)[n]
+            lineno = next(ln for a, b, ln in raw_edges if extra in (a, b))
+            raise LabelOverflowError(
+                f"label {extra!r} brings the distinct labels to {n + 1}, "
+                f"but only {n} vertices are declared",
+                lineno,
+            )
+        i = 0
+        while len(ids) < n:  # fill up with the lowest numerals not already taken
+            ids.setdefault(str(i), len(ids))
+            i += 1
+        labels = tuple(ids)
+    return _build(labels, [(ids[a], ids[b], ln) for a, b, ln in raw_edges], raw_edges)
 
 
 def _as_id(label: str, n: int) -> int | None:
@@ -162,19 +164,25 @@ def _as_id(label: str, n: int) -> int | None:
     return value if 0 <= value < n else None
 
 
-def _build(n, labels, ids, raw_edges) -> LoadedGraph:
-    edges = []
-    seen = set()
-    for a, b, lineno in raw_edges:
-        u, v = ids[a], ids[b]
-        if u == v:
-            raise SelfLoopError(f"self-loop at {a!r}", lineno)
-        key = (min(u, v), max(u, v))
-        if key in seen:
+def _build(labels, edges, written=None) -> LoadedGraph:
+    """Check `edges`, (u, v, line) triples over dense ids, and adopt them as a graph.
+
+    This is the only check of the parsed edges: the graph is built through
+    the private constructor. Error text names an endpoint as it was written,
+    from `written` (the same edges as (label, label, line)) when given, else
+    by its label.
+    """
+    neighbors: list[set[int]] = [set() for _ in labels]
+    for i, (u, v, lineno) in enumerate(edges):
+        nu = neighbors[u]
+        if u == v or v in nu:
+            a, b = written[i][:2] if written else (labels[u], labels[v])
+            if u == v:
+                raise SelfLoopError(f"self-loop at {a!r}", lineno)
             raise DuplicateEdgeError(f"duplicate edge {a!r} {b!r}", lineno)
-        seen.add(key)
-        edges.append(key)
-    return LoadedGraph(Graph(n, edges), labels)
+        nu.add(v)
+        neighbors[v].add(u)
+    return LoadedGraph(Graph._adopt(neighbors, len(edges)), labels)
 
 
 def serialize_graph(g: Graph, labels: tuple[str, ...] | None = None, fmt: str = "edgelist") -> str:

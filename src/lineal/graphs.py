@@ -1,26 +1,31 @@
 """Simple undirected graphs and the handful of queries shared by every solver.
 
-Graphs are immutable after construction, so all queries here are read-only
-and safe to call from concurrent workers.
+A graph keeps one adjacency representation: a sorted tuple of neighbours per
+vertex. Code that needs set membership over a neighbourhood builds the sets
+it needs from that. Graphs are immutable after construction, so all queries
+here are read-only and safe to call from concurrent workers.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Iterator
 
 
 class Graph:
     """Undirected simple graph on dense vertex ids ``0 .. vertex_count-1``.
 
-    Rejects self-loops, duplicate edges, and out-of-range endpoints at
-    construction time. Adjacency lists are kept sorted.
+    The public constructor rejects self-loops, duplicate edges, and
+    out-of-range endpoints. ``_adopt`` is the private constructor for callers
+    that have already checked their edges themselves (the parsers, and
+    ``without``, whose edges come from a valid graph); it does no second
+    check. ``adjacency[v]`` lists v's neighbours in ascending order.
     """
 
-    __slots__ = ("vertex_count", "adjacency", "_neighbor_sets", "edge_count")
+    __slots__ = ("vertex_count", "adjacency", "edge_count")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]] = ()):
         if vertex_count < 0:
             raise ValueError("vertex_count must be non-negative")
-        self.vertex_count = vertex_count
         sets: list[set[int]] = [set() for _ in range(vertex_count)]
         m = 0
         for u, v in edges:
@@ -33,23 +38,34 @@ class Graph:
             sets[u].add(v)
             sets[v].add(u)
             m += 1
-        self.adjacency: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(s)) for s in sets
-        )
-        self._neighbor_sets: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in sets)
-        self.edge_count = m
+        self._fill(sets, m)
+
+    @classmethod
+    def _adopt(cls, neighbors: list, edge_count: int) -> "Graph":
+        """The graph whose vertex v has the neighbours ``neighbors[v]``.
+
+        The caller guarantees a simple graph: symmetric neighbour
+        collections without self-loops or repeats, ``edge_count`` edges.
+        """
+        g = cls.__new__(cls)
+        g._fill(neighbors, edge_count)
+        return g
+
+    def _fill(self, neighbors: list, edge_count: int) -> None:
+        self.vertex_count = len(neighbors)
+        self.adjacency: tuple[tuple[int, ...], ...] = tuple(map(tuple, map(sorted, neighbors)))
+        self.edge_count = edge_count
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]
-
-    def neighbor_set(self, v: int) -> frozenset[int]:
-        return self._neighbor_sets[v]
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
     def adjacent(self, u: int, v: int) -> bool:
-        return v in self._neighbor_sets[u]
+        nu = self.adjacency[u]
+        i = bisect_left(nu, v)
+        return i < len(nu) and nu[i] == v
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) pairs with u < v, ascending lexicographic."""
@@ -67,12 +83,10 @@ class Graph:
         gone = set(removed)
         survivors = tuple(v for v in range(self.vertex_count) if v not in gone)
         new_id = {old: new for new, old in enumerate(survivors)}
-        edges = [
-            (new_id[u], new_id[v])
-            for u, v in self.edges()
-            if u not in gone and v not in gone
-        ]
-        return Graph(len(survivors), edges), survivors
+        adj = self.adjacency
+        # relabelling is monotone, so each list comes out sorted already
+        neighbors = [[new_id[w] for w in adj[v] if w not in gone] for v in survivors]
+        return Graph._adopt(neighbors, sum(map(len, neighbors)) // 2), survivors
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

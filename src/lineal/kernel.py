@@ -23,7 +23,7 @@ to run concurrently.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
 
@@ -178,10 +178,17 @@ def reduce_with_cover(g: Graph, cover) -> tuple[Graph, ReductionTrace]:
 
 @dataclass(frozen=True)
 class Decided:
-    """The kernelization settled the instance outright."""
+    """The kernelization settled the instance outright.
+
+    ``tree`` is the DFS tree that certified a yes, when the front-end built
+    one (dual-min's first DFS); the pipeline validates it and returns it as
+    the witness instead of running the DFS again. It is provenance only and
+    does not take part in equality.
+    """
 
     answer: bool
     reason: str
+    tree: RootedSpanningTree | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -246,7 +253,9 @@ def kernel_dual_min(inst: ProblemInstance, *, root: int = 0) -> KernelOutcome:
     t = dfs_any(g, root)
     cover = t.internal_vertices()
     if len(cover) >= inst.k:
-        return Decided(True, f"DFS tree from vertex {root} has {len(cover)} internal vertices")
+        return Decided(
+            True, f"DFS tree from vertex {root} has {len(cover)} internal vertices", tree=t
+        )
     reduced, trace = reduce_with_cover(g, cover)
     return Reduced(ProblemInstance(reduced, inst.k, Variant.DUAL_MIN_LLT), trace)
 

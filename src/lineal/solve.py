@@ -133,10 +133,9 @@ class BudgetExceeded(RuntimeError):
 
 def _twin_links(g: Graph) -> list[int]:
     """prev_twin[w]: the next lower vertex with w's neighborhood, or -1."""
-    last: dict[frozenset[int], int] = {}
+    last: dict[tuple[int, ...], int] = {}  # sorted adjacency tuples are canonical
     prev = []
-    for w in range(g.vertex_count):
-        nw = g.neighbor_set(w)
+    for w, nw in enumerate(g.adjacency):
         prev.append(last.get(nw, -1))
         last[nw] = w
     return prev
@@ -213,7 +212,7 @@ def _tuple_search(
     """
     n = g.vertex_count
     adj = g.adjacency
-    nbr = g._neighbor_sets
+    nbr = [frozenset(a) for a in adj]
     prev_twin = _twin_links(g)
     deadline = time.perf_counter() + budget.time_limit
     visits = 0
@@ -469,9 +468,9 @@ def solve_dual_fpt_with_kernel(
     if isinstance(outcome, Decided):
         if not outcome.answer:
             return Decision(False, reason=outcome.reason), outcome
-        # dual-min's DFS from `root` certified the yes; any DFS tree does otherwise
-        start = root if variant is Variant.DUAL_MIN_LLT else 0
-        witness = _checked(g, dfs_any(g, start), variant, k)
+        # the front-end's certificate when it built one; any DFS tree does otherwise
+        tree = outcome.tree or dfs_any(g, root if variant is Variant.DUAL_MIN_LLT else 0)
+        witness = _checked(g, tree, variant, k)
         return Decision(True, witness=witness, reason=outcome.reason), outcome
     kern, trace = outcome.instance, outcome.trace
     try:

@@ -19,6 +19,8 @@ from .graphs import Graph, components_outside
 #: Largest graph the exhaustive enumeration accepts unless told otherwise.
 ORACLE_LIMIT_DEFAULT = 10
 
+_UNCOVERED = object()  # parent slot of a vertex outside a partial tree
+
 
 class OracleLimitError(RuntimeError):
     """Raised when exhaustive enumeration is asked for a graph above the size limit.
@@ -63,46 +65,54 @@ class RootedSpanningTree:
 
 
 class AncestorIndex:
-    """Enter/exit timestamps of one tree traversal, giving O(1) ancestor tests."""
+    """Enter/exit timestamps of one tree traversal, giving O(1) ancestor tests.
+
+    ``enter`` and ``exit`` are indexed by vertex: lists when the tree covers
+    exactly the ids ``0 .. len(parent)-1`` (a spanning tree), dicts otherwise.
+    """
 
     __slots__ = ("enter", "exit")
 
-    def __init__(self, enter: dict[int, int], exit_: dict[int, int]):
+    def __init__(self, enter, exit_):
         self.enter = enter
         self.exit = exit_
 
     @classmethod
     def build(cls, t: RootedSpanningTree) -> "AncestorIndex":
         """Timestamp every covered vertex; rejects parent maps that are not a single tree."""
-        if t.root not in t.parent or t.parent[t.root] is not None:
+        parent = t.parent
+        if t.root not in parent or parent[t.root] is not None:
             raise InvalidTreeError("root must be covered with no parent")
-        kids: dict[int, list[int]] = {v: [] for v in t.parent}
-        for v, p in t.parent.items():
+        n = len(parent)
+        if min(parent) == 0 and max(parent) == n - 1:  # distinct ids, so exactly 0 .. n-1
+            kids = [[] for _ in range(n)]
+            enter, exit_ = [0] * n, [0] * n
+        else:
+            kids = {v: [] for v in parent}
+            enter, exit_ = {}, {}
+        for v, p in parent.items():
             if p is None:
                 if v != t.root:
                     raise InvalidTreeError(f"vertex {v} has no parent but is not the root")
                 continue
-            if p not in t.parent:
+            if p not in parent:
                 raise InvalidTreeError(f"parent {p} of {v} is not covered")
             kids[p].append(v)
-        enter: dict[int, int] = {}
-        exit_: dict[int, int] = {}
-        clock = 0
+        enter[t.root] = 0
+        clock = 1
         stack: list[tuple[int, Iterator[int]]] = [(t.root, iter(kids[t.root]))]
-        enter[t.root] = clock
-        clock += 1
         while stack:
             v, it = stack[-1]
-            child = next(it, None)
-            if child is None:
+            for child in it:
+                enter[child] = clock
+                clock += 1
+                stack.append((child, iter(kids[child])))
+                break
+            else:
                 exit_[v] = clock
                 clock += 1
                 stack.pop()
-                continue
-            enter[child] = clock
-            clock += 1
-            stack.append((child, iter(kids[child])))
-        if len(enter) != len(t.parent):
+        if clock != 2 * n:  # each reached vertex is entered and left once
             raise InvalidTreeError("parent links contain a cycle or a second component")
         return cls(enter, exit_)
 
@@ -128,22 +138,32 @@ def dfs_tree_violation(
 ) -> tuple[int, int] | None:
     """First edge of G inside t's covered set joining incomparable non-adjacent-in-T vertices.
 
-    Returns None when t is a DFS tree of the subgraph induced on its covered
-    set. Raises InvalidTreeError when t is not a tree over G's edges at all.
+    Edges are taken in ascending (u, w) order with u < w. Returns None when t
+    is a DFS tree of the subgraph induced on its covered set. Raises
+    InvalidTreeError when t is not a tree over G's edges at all.
     """
     idx = index if index is not None else AncestorIndex.build(t)
+    enter, exit_ = idx.enter, idx.exit
+    n = g.vertex_count
+    adj = g.adjacency
     cov = t.parent
-    for v, p in t.parent.items():
-        if p is not None and not g.adjacent(v, p):
+    parent: list = [_UNCOVERED] * n
+    for v, p in cov.items():
+        if p is not None and p not in adj[v]:
             raise InvalidTreeError(f"tree edge ({p}, {v}) is not an edge of the graph")
-    for u in sorted(cov):
-        pu = t.parent[u]
-        for w in g.adjacency[u]:
-            if w <= u or w not in cov:
+        parent[v] = p
+    for u in range(n) if len(cov) == n else sorted(cov):
+        pu = parent[u]
+        eu, xu = enter[u], exit_[u]
+        for w in adj[u]:
+            if w <= u or pu == w:
                 continue
-            if pu == w or t.parent[w] == u:
+            pw = parent[w]
+            if pw == u or pw is _UNCOVERED:
                 continue
-            if not (idx.is_ancestor(u, w) or idx.is_ancestor(w, u)):
+            ew = enter[w]
+            # intervals nest, so w is comparable to u iff one's entry lies inside the other's
+            if not (eu < ew < xu or ew < eu < exit_[w]):
                 return (u, w)
     return None
 
@@ -204,26 +224,27 @@ def tree_respecting_ordering(
 
 def dfs_any(g: Graph, root: int) -> RootedSpanningTree:
     """The DFS tree from `root` exploring neighbors in ascending id order."""
-    if not (0 <= root < g.vertex_count):
+    n = g.vertex_count
+    if not (0 <= root < n):
         raise ValueError(f"root {root} out of range")
+    adj = g.adjacency
+    seen = bytearray(n)
+    seen[root] = 1
     parent: dict[int, int | None] = {root: None}
     order = [root]
-    adj = g.adjacency
-    stack = [[root, 0]]
+    stack = [(root, iter(adj[root]))]
     while stack:
-        v, i = stack[-1]
-        av = adj[v]
-        while i < len(av) and av[i] in parent:
-            i += 1
-        if i == len(av):
+        v, it = stack[-1]
+        for w in it:
+            if not seen[w]:
+                seen[w] = 1
+                parent[w] = v
+                order.append(w)
+                stack.append((w, iter(adj[w])))
+                break
+        else:
             stack.pop()
-            continue
-        stack[-1][1] = i + 1
-        w = av[i]
-        parent[w] = v
-        order.append(w)
-        stack.append([w, 0])
-    if len(parent) != g.vertex_count:
+    if len(order) != n:
         raise ValueError("graph is disconnected; DFS covers only one component")
     return RootedSpanningTree(root, parent, tuple(order))
 

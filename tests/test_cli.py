@@ -3,13 +3,14 @@ import io
 import json
 import os
 import tempfile
+import time
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lineal import Graph, generate, parse_graph, serialize_graph
+from lineal import Graph, dfs_any, generate, parse_graph, serialize_graph, witness_to_jsonable
 from lineal.cli import run_command
 
 from helpers import C4, connected_graphs
@@ -309,6 +310,52 @@ def test_bench_kernelizes_once_per_cell(capsys, monkeypatch, variant, ks):
     assert len(rows) == 6
     assert len(calls) == 6
     assert any(row.split(",")[5] for row in rows)  # some cell reached the search
+
+
+def test_bench_time_limit_covers_kernelization(capsys, monkeypatch):
+    import lineal.cli as cli
+
+    fast = cli.kernelize
+
+    def slow(*args, **kwargs):
+        time.sleep(0.2)
+        return fast(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "kernelize", slow)
+    code, out, _ = run(
+        capsys, "bench", "--variant", "dual-min", "--n-grid", "60", "--k-grid", "7",
+        "--time-limit", "0.05",
+    )
+    assert code == 0
+    row = out.strip().splitlines()[1].split(",")
+    assert row[7] == "undecided"
+    assert float(row[8]) >= 200
+
+
+def test_kernel_decided_yes_reuses_the_certificate_tree(capsys, monkeypatch, tmp_path):
+    import lineal.kernel as kernel
+    import lineal.solve as solve
+
+    g = Graph(8, [(i, i + 1) for i in range(7)])
+    path = tmp_path / "p8.txt"
+    path.write_text(serialize_graph(g))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return dfs_any(*args)
+
+    monkeypatch.setattr(kernel, "dfs_any", counted)
+    monkeypatch.setattr(solve, "dfs_any", counted)
+    code, out, _ = run(
+        capsys, "solve", str(path), "--variant", "dual-min", "-k", "3", "--root", "3"
+    )
+    assert code == 0
+    rep = report_of(out)
+    assert rep["reason"] == "DFS tree from vertex 3 has 6 internal vertices"
+    assert len(calls) == 1
+    labels = tuple(str(i) for i in range(8))
+    assert rep["witness"] == witness_to_jsonable(dfs_any(g, 3), labels)
 
 
 @st.composite

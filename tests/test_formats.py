@@ -1,4 +1,8 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lineal import (
     DuplicateEdgeError,
@@ -13,7 +17,7 @@ from lineal import (
     witness_to_jsonable,
 )
 
-from helpers import C4, K3, P3, atlas_connected
+from helpers import C4, K3, P3, atlas_connected, connected_graphs
 
 
 def test_parse_edgelist_p3():
@@ -62,6 +66,71 @@ def test_parse_errors_are_distinct_and_carry_lines():
         parse_graph("p edge 2 1\ne 1 5\n")
     with pytest.raises(MalformedLineError):
         parse_graph("p edge 2 1\nx 1 2\ne 1 2\n")
+
+
+@pytest.mark.parametrize(
+    "text, error, message, line",
+    [
+        ("p edge 3 2\ne 1 2\ne 2 2\n", SelfLoopError, "self-loop at '2'", 3),
+        ("c x\np edge 3 2\ne 1 2\ne 2 1\n", DuplicateEdgeError, "duplicate edge '2' '1'", 4),
+        ("3 2\n0 1\n1 0\n", DuplicateEdgeError, "duplicate edge '1' '0'", 3),
+        ("3 2\n0 1\n\n01 1\n", SelfLoopError, "self-loop at '01'", 4),
+        ("3 2\na b\n# x\nb a\n", DuplicateEdgeError, "duplicate edge 'b' 'a'", 4),
+        (
+            "2 2\na b\nb c\n",
+            LabelOverflowError,
+            "label 'c' brings the distinct labels to 3, but only 2 vertices are declared",
+            3,
+        ),
+    ],
+    ids=["dimacs-loop", "dimacs-reversed-duplicate", "edgelist-duplicate",
+         "edgelist-loop-raw-label", "opaque-duplicate", "label-overflow"],
+)
+def test_parse_error_text_and_line(text, error, message, line):
+    with pytest.raises(error) as err:
+        parse_graph(text)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
+@st.composite
+def written_graphs(draw, max_n: int = 8):
+    """A document for a connected or arbitrary graph: its edges shuffled, each
+    written either way round, as DIMACS or as an edge list with numeric or
+    opaque labels. Returns the text and the edges as written (label pairs)."""
+    if draw(st.booleans()):
+        g = draw(connected_graphs(max_n=max_n))
+        n, edges = g.vertex_count, list(g.edges())
+    else:
+        n = draw(st.integers(0, max_n))
+        pairs = list(combinations(range(n), 2))
+        edges = [pair for pair in pairs if draw(st.booleans())]
+    edges = draw(st.permutations(edges))
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
+    fmt = draw(st.sampled_from(["dimacs", "numeric", "opaque"]))
+    if fmt == "dimacs":
+        written = [(str(u + 1), str(v + 1)) for u, v in edges]
+        lines = [f"p edge {n} {len(edges)}"] + [f"e {a} {b}" for a, b in written]
+    else:
+        name = str if fmt == "numeric" else "v{}".format
+        written = [(name(u), name(v)) for u, v in edges]
+        lines = [f"{n} {len(edges)}"] + [f"{a} {b}" for a, b in written]
+    return "\n".join(lines) + "\n", written
+
+
+@given(written_graphs())
+@settings(max_examples=150, deadline=None)
+def test_parsed_graph_equals_the_checked_construction(doc):
+    text, written = doc
+    loaded = parse_graph(text)
+    ids = {lab: i for i, lab in enumerate(loaded.labels)}
+    g = loaded.graph
+    expected = Graph(g.vertex_count, [(ids[a], ids[b]) for a, b in written])
+    assert g.adjacency == expected.adjacency
+    assert g.edge_count == expected.edge_count == len(written)
+    for u in range(g.vertex_count):
+        for v in range(g.vertex_count):
+            assert g.adjacent(u, v) == expected.adjacent(u, v) == (v in expected.adjacency[u])
 
 
 def test_roundtrip_both_formats():

@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lineal import (
     Graph,
@@ -45,6 +46,18 @@ def test_without_relabels_densely():
     g2, survivors = C4.without({1})
     assert survivors == (0, 2, 3)
     assert g2 == Graph(3, [(1, 2), (0, 2)])
+
+
+@given(connected_graphs(max_n=8), st.sets(st.integers(0, 7)))
+@settings(max_examples=60)
+def test_without_matches_the_checked_construction(g, removed):
+    g2, survivors = g.without(removed)
+    assert survivors == tuple(v for v in range(g.vertex_count) if v not in removed)
+    new_id = {old: new for new, old in enumerate(survivors)}
+    expected = Graph(len(survivors), [
+        (new_id[u], new_id[v]) for u, v in g.edges() if u in new_id and v in new_id
+    ])
+    assert g2 == expected and g2.edge_count == expected.edge_count
 
 
 def test_is_connected_examples():
