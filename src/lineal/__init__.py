@@ -1,8 +1,9 @@
 """DFS spanning trees with few or many leaves.
 
 Kernelization driven by vertex-cover structure, tuple-guessing XP/FPT
-solvers for the dual problems, and an exhaustive enumeration oracle that
-verifies everything at desk scale.
+solvers for the dual problems that decide the kernels of all four variants,
+and an exhaustive enumeration oracle, outside that pipeline, that verifies
+everything at desk scale.
 """
 
 from .formats import (

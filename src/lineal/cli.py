@@ -1,13 +1,12 @@
 """Command-line interface: kernelize, solve, oracle, verify, gen, bench.
 
 `solve` and `bench` run one pipeline for all four variants: kernelize, then
-decide the kernel (tuple search for the dual variants, the exhaustive oracle
-for min-llt and max-llt) and lift the witness back. `oracle` enumerates the
-DFS trees of the input graph itself.
+decide the kernel by the tuple search and lift the witness back. `oracle`
+enumerates the DFS trees of the input graph itself, up to --oracle-limit.
 
 Machine-readable output (JSON reports, generated graphs, CSV sweeps) goes to
 stdout or --output; diagnostics go to stderr. Exit codes: 0 yes, 1 no,
-2 undecided (budget, oracle refusal, or a reduced-but-unsolved instance),
+2 undecided (budget, `oracle` refusal, or a reduced-but-unsolved instance),
 64 usage error, 65 parse error, 70 internal error (an unexpected exception;
 never read as an answer).
 """
@@ -93,8 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget-tuples", type=int, default=None, help="max tuple-prefix expansions")
         p.add_argument("--time-limit", type=float, default=None,
                        help="time limit in seconds for the whole decision, kernelization included")
-        p.add_argument("--oracle-limit", type=int, default=None,
-                       help=f"max vertices for exhaustive enumeration (env {ORACLE_LIMIT_ENV})")
 
     p = sub.add_parser("kernelize", help="reduce an instance, emit kernel graph and report")
     add_instance_args(p)
@@ -103,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="write the kernel graph here")
 
     p = sub.add_parser(
-        "solve", help="decide an instance: kernelize, then search or enumerate the kernel"
+        "solve", help="decide an instance: kernelize, then search the kernel"
     )
     add_instance_args(p)
     add_budget_args(p)
@@ -112,6 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="decide by exhaustive DFS-tree enumeration")
     add_instance_args(p)
     add_budget_args(p)
+    p.add_argument("--oracle-limit", type=int, default=None,
+                   help=f"max vertices for exhaustive enumeration (env {ORACLE_LIMIT_ENV})")
 
     p = sub.add_parser("verify", help="check a witness tree against a graph and threshold")
     p.add_argument("graph")
@@ -148,17 +147,8 @@ def _budget(args) -> SolverBudget:
     Given values pass through unchanged, so SolverBudget rejects zero or
     negative ones as a usage error.
     """
-    limit = getattr(args, "oracle_limit", None)
-    if limit is None:
-        env = os.environ.get(ORACLE_LIMIT_ENV)
-        limit = int(env) if env else ORACLE_LIMIT_DEFAULT
-    given = {
-        "max_tuple_count": getattr(args, "budget_tuples", None),
-        "time_limit": getattr(args, "time_limit", None),
-    }
-    return SolverBudget(
-        oracle_vertex_limit=limit, **{k: v for k, v in given.items() if v is not None}
-    )
+    given = {"max_tuple_count": args.budget_tuples, "time_limit": args.time_limit}
+    return SolverBudget(**{k: v for k, v in given.items() if v is not None})
 
 
 def _read_graph(path: str) -> LoadedGraph:
@@ -235,7 +225,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    return _decide(args, lambda inst, budget: (solve_exact_oracle(inst, budget), None))
+    limit = args.oracle_limit
+    if limit is None:
+        limit = int(os.environ.get(ORACLE_LIMIT_ENV) or ORACLE_LIMIT_DEFAULT)
+    return _decide(args, lambda inst, budget: (solve_exact_oracle(inst, budget, limit=limit), None))
 
 
 def _decide(args, run) -> int:
@@ -253,12 +246,14 @@ def _decide(args, run) -> int:
         "kernel": None,
         "timings_ms": {},
     }
-    decision = None
+    decision = outcome = None
     try:
         decision, outcome = run(inst, budget)
-    except (BudgetExceeded, OracleLimitError) as exc:
+    except BudgetExceeded as exc:
         report["reason"] = str(exc)
         outcome = exc.kernel
+    except OracleLimitError as exc:
+        report["reason"] = str(exc)
     t2 = time.perf_counter()
     if decision is not None:
         report["outcome"] = "yes" if decision.answer else "no"
@@ -372,7 +367,7 @@ def cmd_bench(args) -> int:
                     inst, replace(budget, time_limit=left), kernel=outcome
                 )
                 answer = "yes" if decision.answer else "no"
-            except (BudgetExceeded, OracleLimitError):
+            except BudgetExceeded:
                 answer = "undecided"
             t2 = time.perf_counter()
             stats = _kernel_stats(g, outcome)

@@ -1,10 +1,10 @@
 """Brute-force tuple solvers for the dual variants, the exhaustive oracle,
 and the one kernel-then-solve pipeline for all four variants.
 
-The pipeline kernelizes the instance, then decides the kernel: by the tuple
-search for the dual variants, by the oracle with the shifted k for min-llt
-and max-llt. A kernel witness is lifted back through the reduction trace and
-validated on the input graph before it is returned.
+The pipeline kernelizes the instance, then decides every kernel by the tuple
+search: min-llt and max-llt with the shifted k ask for at least, or at most,
+n' - k' internal vertices. A kernel witness is lifted back through the
+reduction trace and validated on the input graph before it is returned.
 
 The tuple solvers guess the discovery order of the k vertices that must end
 up internal (or must absorb all internal vertices). A guessed order is only
@@ -112,10 +112,9 @@ class SolverBudget:
 
     max_tuple_count: int = 100_000_000
     time_limit: float = 300.0
-    oracle_vertex_limit: int = ORACLE_LIMIT_DEFAULT
 
     def __post_init__(self):
-        if self.max_tuple_count <= 0 or self.time_limit <= 0 or self.oracle_vertex_limit <= 0:
+        if self.max_tuple_count <= 0 or self.time_limit <= 0:
             raise ValueError("budget fields must be positive")
 
 
@@ -448,51 +447,52 @@ def solve_dual_fpt_with_kernel(
 ) -> tuple[Decision, KernelOutcome]:
     """Kernelize any variant, then decide the kernel and lift its witness.
 
-    The dual variants run the tuple search on the kernel (time k^O(k)
-    poly(n)); min-llt and max-llt run the exhaustive oracle on the kernel
-    with its shifted k, so the oracle's vertex limit applies to the kernel.
-    Returns the decision together with the kernelization outcome so callers
-    can report reduction statistics. Yes answers carry a witness lifted back
-    to the original graph and validated there; an accepted tuple is reported
-    in original ids. A caller that already holds ``kernelize(inst,
-    root=root)`` passes it as `kernel` instead of having the instance
-    kernelized again. The time limit runs from entry: the search or the
-    oracle gets what kernelization left, and none left is a time budget
-    exhausted. A BudgetExceeded or OracleLimitError raised on the kernel
-    carries the kernel outcome.
+    The tuple search (time k^O(k) poly(n)) decides every kernel with the
+    bounds (lo, hi) of the kernel's k: min-llt and dual-min ask for at least
+    lo internal vertices, max-llt and dual-max for at most hi, and for these
+    two one DFS of the kernel from vertex 0 goes first (a large hi would
+    cost long tuples) and is the witness when it fits. Returns the decision
+    together with the kernelization outcome so callers can report reduction
+    statistics. Yes answers carry a witness lifted back to the original
+    graph and validated there; an accepted tuple is reported in original
+    ids. A caller that already holds ``kernelize(inst, root=root)`` passes
+    it as `kernel` instead of having the instance kernelized again. The
+    time limit runs from entry: an answer that kernelization settles after
+    it, or a search with no time left, is a time budget exhausted, and
+    carries the kernel outcome like any BudgetExceeded raised on the kernel.
     """
     start = time.perf_counter()
     budget = budget or SolverBudget()
     g, k, variant = inst.graph, inst.k, inst.variant
     outcome = kernel if kernel is not None else kernelize(inst, root=root)
-    if isinstance(outcome, Decided):
-        if not outcome.answer:
-            return Decision(False, reason=outcome.reason), outcome
-        # the front-end's certificate when it built one; any DFS tree does otherwise
-        tree = outcome.tree or dfs_any(g, root if variant is Variant.DUAL_MIN_LLT else 0)
-        witness = _checked(g, tree, variant, k)
-        return Decision(True, witness=witness, reason=outcome.reason), outcome
-    kern, trace = outcome.instance, outcome.trace
     try:
         left = budget.time_limit - (time.perf_counter() - start)
         if left <= 0:
             raise BudgetExceeded("time")
+        if isinstance(outcome, Decided):
+            if not outcome.answer:
+                return Decision(False, reason=outcome.reason), outcome
+            # the front-end's certificate when it built one; any DFS tree does otherwise
+            tree = outcome.tree or dfs_any(g, root if variant is Variant.DUAL_MIN_LLT else 0)
+            witness = _checked(g, tree, variant, k)
+            return Decision(True, witness=witness, reason=outcome.reason), outcome
+        kern, trace = outcome.instance, outcome.trace
+        lo, hi = variant.internal_bounds(kern.graph.vertex_count, kern.k)
         budget = replace(budget, time_limit=left)
-        if variant is Variant.DUAL_MIN_LLT:
-            sub = solve_dual_min_xp(kern.graph, k, budget)
-        elif variant is Variant.DUAL_MAX_LLT:
-            sub = solve_dual_max_xp(kern.graph, k, budget)
-        elif kern.graph.vertex_count > budget.oracle_vertex_limit:
-            raise OracleLimitError(
-                f"kernel has {kern.graph.vertex_count} vertices (input {g.vertex_count}), "
-                f"oracle limit is {budget.oracle_vertex_limit}"
-            )
+        if variant in (Variant.MIN_LLT, Variant.DUAL_MIN_LLT):
+            sub = solve_dual_min_xp(kern.graph, max(lo, 0), budget)
         else:
-            sub = solve_exact_oracle(kern, budget)
-    except (BudgetExceeded, OracleLimitError) as exc:
+            first = dfs_any(kern.graph, 0)
+            ic = first.internal_count()
+            if ic <= hi:
+                reason = f"DFS tree of the kernel from vertex 0 has {ic} internal vertices"
+                sub = Decision(True, witness=first, reason=reason)
+            else:  # a negative hi fails the search's degree bound: a no
+                sub = solve_dual_max_xp(kern.graph, hi, budget)
+    except BudgetExceeded as exc:
         exc.kernel = outcome
         raise
-    reason = sub.reason or "tuple search on the kernel"  # the oracle names itself
+    reason = sub.reason or "tuple search on the kernel"
     if not sub.answer:
         return Decision(False, reason=reason), outcome
     lifted = _checked(g, trace.lift(g, sub.witness), variant, k)
@@ -510,20 +510,22 @@ def solve_dual_fpt(
     return decision
 
 
-def solve_exact_oracle(inst: ProblemInstance, budget: SolverBudget | None = None) -> Decision:
+def solve_exact_oracle(
+    inst: ProblemInstance, budget: SolverBudget | None = None, *, limit: int = ORACLE_LIMIT_DEFAULT
+) -> Decision:
     """Decide any variant by enumerating every DFS tree; desk scale only.
 
     The witness is the first qualifying tree in enumeration order. Refuses
-    graphs above the oracle vertex limit, and raising that limit does not
-    disable the time budget.
+    graphs above `limit` vertices (a positive limit), and raising that limit
+    does not disable the time budget.
     """
+    if limit <= 0:
+        raise ValueError("oracle limit must be positive")
     budget = budget or SolverBudget()
     g, k = inst.graph, inst.k
     n = g.vertex_count
-    if n > budget.oracle_vertex_limit:
-        raise OracleLimitError(
-            f"graph has {n} vertices, oracle limit is {budget.oracle_vertex_limit}"
-        )
+    if n > limit:
+        raise OracleLimitError(f"graph has {n} vertices, oracle limit is {limit}")
     if n == 0 or not is_connected(g):
         return Decision(False, reason=_EXHAUSTIVE)
     lo, hi = inst.variant.internal_bounds(n, k)

@@ -23,12 +23,7 @@ _UNCOVERED = object()  # parent slot of a vertex outside a partial tree
 
 
 class OracleLimitError(RuntimeError):
-    """Raised when exhaustive enumeration is asked for a graph above the size limit.
-
-    ``kernel`` is the kernelization outcome when the graph was a kernel.
-    """
-
-    kernel = None
+    """Raised when exhaustive enumeration is asked for a graph above the size limit."""
 
 
 class InvalidTreeError(ValueError):

@@ -125,21 +125,22 @@ def test_oracle_and_limit(capsys, c4_file, monkeypatch):
     assert report_of(out)["outcome"] == "undecided"
 
 
-def test_solve_non_dual_uses_oracle(capsys, c4_file):
+def test_solve_non_dual_searches_the_kernel(capsys, c4_file):
     code, out, _ = run(capsys, "solve", c4_file, "--variant", "min-llt", "-k", "1")
     assert code == 0
     rep = report_of(out)
-    assert rep["reason"] == "exhaustive enumeration"
+    assert rep["reason"] == "tuple search on the kernel"
 
 
-def test_solve_max_llt_enumerates_the_kernel(capsys, tmp_path):
-    # 51 vertices are above the oracle limit; the kernel keeps 4 of them
+def test_solve_max_llt_settles_the_kernel_by_its_first_dfs(capsys, tmp_path):
+    # the kernel keeps 4 of the 51 vertices, and its DFS from the centre fits
     star = tmp_path / "star51.txt"
     star.write_text("51 50\n" + "".join(f"0 {i}\n" for i in range(1, 51)))
     code, out, _ = run(capsys, "solve", str(star), "--variant", "max-llt", "-k", "50")
     assert code == 0
     rep = report_of(out)
-    assert rep["outcome"] == "yes" and rep["reason"] == "exhaustive enumeration"
+    assert rep["outcome"] == "yes"
+    assert rep["reason"] == "DFS tree of the kernel from vertex 0 has 1 internal vertices"
     assert rep["kernel"]["n_after"] == 4
     witness = tmp_path / "w.json"
     witness.write_text(json.dumps(rep["witness"]))
@@ -150,15 +151,25 @@ def test_solve_max_llt_enumerates_the_kernel(capsys, tmp_path):
     assert report_of(out)["leaves"] == 50
 
 
-def test_undecided_oracle_on_the_kernel_names_the_kernel(capsys, tmp_path):
+def test_min_llt_is_decided_on_a_kernel_above_ten_vertices(capsys, tmp_path):
     path = tmp_path / "bc40.txt"
     path.write_text(serialize_graph(generate("bounded_cover", seed=0, n=40, s=4, p=0.3)))
     code, out, _ = run(capsys, "solve", str(path), "--variant", "min-llt", "-k", "33")
-    assert code == 2
+    assert code == 0
     rep = report_of(out)
-    assert rep["outcome"] == "undecided"
-    assert rep["reason"] == "kernel has 23 vertices (input 40), oracle limit is 10"
+    assert rep["reason"] == "tuple search on the kernel"
     assert (rep["kernel"]["n_before"], rep["kernel"]["n_after"]) == (40, 23)
+    witness = tmp_path / "w.json"
+    witness.write_text(json.dumps(rep["witness"]))
+    code, out, _ = run(
+        capsys, "verify", str(path), "--witness", str(witness), "--variant", "min-llt", "-k", "33"
+    )
+    assert code == 0
+    assert report_of(out)["leaves"] <= 33
+    # the planted cover 0..3 allows at most 8 internal vertices, so 32 leaves at least
+    code, out, _ = run(capsys, "solve", str(path), "--variant", "min-llt", "-k", "31")
+    assert code == 1
+    assert report_of(out)["outcome"] == "no"
 
 
 def test_solve_reports_a_kernelization_the_front_end_decided(capsys, tmp_path):
@@ -250,17 +261,36 @@ def test_report_determinism_modulo_timings(capsys, c4_file):
     assert r1 == r2
 
 
-@pytest.mark.parametrize("flag", ["--time-limit", "--budget-tuples"])
+@pytest.mark.parametrize("flag", ["--time-limit", "--budget-tuples", "--oracle-limit"])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_nonpositive_budget_flags_are_usage_errors(capsys, star_file, flag, value):
-    code, out, err = run(capsys, "solve", star_file, "--variant", "dual-min", "-k", "2", flag, value)
+    command = "oracle" if flag == "--oracle-limit" else "solve"
+    argv = [command, star_file, "--variant", "dual-min", "-k", "2", flag, value]
+    code, out, err = run(capsys, *argv)
     assert code == 64
     assert out == ""
     assert "positive" in err
+    if command == "solve":
+        code, _, _ = run(
+            capsys, "bench", "--variant", "dual-max", "--n-grid", "12", "--k-grid", "1", flag, value
+        )
+        assert code == 64
+
+
+def test_only_oracle_takes_an_oracle_limit(capsys, star_file):
+    argv = [star_file, "--variant", "max-llt", "-k", "5", "--oracle-limit", "5"]
+    code, out, err = run(capsys, "solve", *argv)
+    assert code == 64 and out == ""
+    assert "--oracle-limit" in err
     code, _, _ = run(
-        capsys, "bench", "--variant", "dual-max", "--n-grid", "12", "--k-grid", "1", flag, value
+        capsys, "bench", "--variant", "max-llt", "--n-grid", "12", "--k-grid", "1",
+        "--oracle-limit", "5",
     )
     assert code == 64
+    code, out, _ = run(capsys, "oracle", *argv)
+    assert code == 2
+    assert report_of(out)["reason"] == "graph has 6 vertices, oracle limit is 5"
+    assert report_of(out)["kernel"] == {"ran": False}
 
 
 def test_undecided_search_reports_the_kernel(capsys, star_file):
@@ -330,6 +360,29 @@ def test_bench_time_limit_covers_kernelization(capsys, monkeypatch):
     row = out.strip().splitlines()[1].split(",")
     assert row[7] == "undecided"
     assert float(row[8]) >= 200
+
+
+def test_kernel_decided_answer_keeps_the_time_limit(capsys, monkeypatch, tmp_path):
+    import lineal.solve as solve
+
+    fast = solve.kernelize
+
+    def slow(*args, **kwargs):
+        time.sleep(0.2)
+        return fast(*args, **kwargs)
+
+    monkeypatch.setattr(solve, "kernelize", slow)
+    path = tmp_path / "p6.txt"
+    path.write_text("6 5\n" + "".join(f"{i} {i + 1}\n" for i in range(5)))
+    code, out, _ = run(
+        capsys, "solve", str(path), "--variant", "dual-min", "-k", "3", "--time-limit", "0.05"
+    )
+    assert code == 2
+    rep = report_of(out)
+    assert rep["outcome"] == "undecided"
+    assert rep["reason"] == "undecided: time budget exhausted"
+    assert rep["kernel"] == {"ran": True, "n_before": 6}
+    assert rep["witness"] is None
 
 
 def test_kernel_decided_yes_reuses_the_certificate_tree(capsys, monkeypatch, tmp_path):

@@ -280,7 +280,7 @@ def test_fpt_examples():
 
 
 def test_fpt_decides_cover_variants_on_the_kernel():
-    # the kernel of a 51-vertex star keeps 4 vertices, within the oracle limit
+    # the kernel of a 51-vertex star keeps 4 vertices
     big_star = star_graph(51)
     d, outcome = solve_dual_fpt_with_kernel(inst(big_star, 50, Variant.MAX_LLT))
     assert outcome.instance.graph.vertex_count == 4 and outcome.instance.k == 3
@@ -289,9 +289,18 @@ def test_fpt_decides_cover_variants_on_the_kernel():
     d = solve_dual_fpt(inst(big_star, 49, Variant.MIN_LLT))
     assert d.answer and len(d.witness.leaf_vertices()) <= 49
     assert solve_dual_fpt(inst(big_star, 48, Variant.MIN_LLT)).answer is False
-    with pytest.raises(OracleLimitError) as err:
-        solve_dual_fpt(inst(big_star, 50, Variant.MAX_LLT), SolverBudget(oracle_vertex_limit=3))
-    assert err.value.kernel.instance.graph.vertex_count == 4
+
+
+def test_first_dfs_settles_max_variants_without_a_search():
+    # dual-max k = 35 is at least the first DFS's internal count, and max-llt
+    # k = 60 leaves a 43-vertex kernel: both yes before any tuple is visited
+    g = bounded_cover_graph(100, 4, 0.3, seed=0)
+    for k, variant in [(35, Variant.DUAL_MAX_LLT), (60, Variant.MAX_LLT)]:
+        d, outcome = solve_dual_fpt_with_kernel(inst(g, k, variant), ONE_TUPLE)
+        assert d.answer and d.accepted_tuple is None
+        assert d.reason.startswith("DFS tree of the kernel from vertex 0 has")
+        assert is_dfs_tree(g, d.witness) and _meets(variant, 100, d.witness.internal_count(), k)
+    assert outcome.instance.graph.vertex_count == 43
 
 
 def test_fpt_lifts_witnesses_through_the_kernel():
@@ -348,6 +357,32 @@ def test_pipeline_matches_the_profile_on_every_variant(g):
                 assert _meets(variant, n, d.witness.internal_count(), k)
 
 
+# graphs whose cover kernels lose vertices: stars, and planted covers of size at most 3
+SHRINKING = [star_graph(n) for n in range(5, 11)] + [
+    bounded_cover_graph(10, s, 0.5, seed=seed)
+    for s, seeds in [(1, [0]), (2, range(8)), (3, [2, 4, 6])]
+    for seed in seeds
+]
+
+
+def test_pipeline_matches_the_profile_on_shrinking_kernels():
+    # the Hypothesis graphs above rarely reduce
+    for g in SHRINKING:
+        n = g.vertex_count
+        profile = profile_of(g)
+        for variant in Variant:
+            for k in range(n + 2):
+                d, outcome = solve_dual_fpt_with_kernel(inst(g, k, variant))
+                if variant is Variant.MIN_LLT and k == n - 1:
+                    assert outcome.instance.graph.vertex_count < n, g.adjacency
+                assert d.answer == any(_meets(variant, n, c, k) for c in profile), (
+                    g.adjacency, variant, k,
+                )
+                if d.answer:
+                    assert is_dfs_tree(g, d.witness)
+                    assert _meets(variant, n, d.witness.internal_count(), k)
+
+
 # ---------------------------------------------------------------------------
 # exhaustive oracle
 
@@ -363,8 +398,11 @@ def test_oracle_refuses_above_limit():
     g = path_graph(12)
     with pytest.raises(OracleLimitError):
         solve_exact_oracle(inst(g, 1, Variant.MIN_LLT))
-    d = solve_exact_oracle(inst(g, 1, Variant.MIN_LLT), SolverBudget(oracle_vertex_limit=12))
+    d = solve_exact_oracle(inst(g, 1, Variant.MIN_LLT), limit=12)
     assert d.answer is True
+    for limit in (0, -1):
+        with pytest.raises(ValueError, match="positive"):
+            solve_exact_oracle(inst(P3, 1, Variant.MIN_LLT), limit=limit)
 
 
 def test_oracle_respects_time_budget():
@@ -372,10 +410,7 @@ def test_oracle_respects_time_budget():
 
     g = complete_graph(9)  # plenty of trees before any qualifying count of 9
     with pytest.raises(BudgetExceeded):
-        solve_exact_oracle(
-            inst(g, 9, Variant.DUAL_MIN_LLT),
-            SolverBudget(time_limit=1e-9, oracle_vertex_limit=9),
-        )
+        solve_exact_oracle(inst(g, 9, Variant.DUAL_MIN_LLT), SolverBudget(time_limit=1e-9), limit=9)
 
 
 def test_oracle_degenerate_graphs():
