@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -139,6 +140,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="write the CSV here instead of stdout")
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use; parse_args keeps no state in it."""
+    return build_parser()
 
 
 def _budget(args) -> SolverBudget:
@@ -410,9 +417,15 @@ _HANDLERS = {
 
 
 def run_command(argv: list[str]) -> int:
-    parser = build_parser()
+    """Run one `lineal` command line and return its exit code.
+
+    The argument parser is built on the first call and reused by every later
+    call in the process, so a caller that runs many commands in one process
+    (a benchmark loop, a test suite, an embedding script) builds it once,
+    and a one-shot `lineal` process builds it exactly once.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EX_USAGE

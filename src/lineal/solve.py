@@ -78,9 +78,7 @@ from .trees import (
     RootedSpanningTree,
     _components_chain_ok,
     _forced_runs,
-    _has_outside_neighbor,
     _leaves_have_outside_neighbor,
-    _outside_edge,
     _outside_is_independent,
     _outside_sees_chains,
     dfs_any,
@@ -130,14 +128,20 @@ class BudgetExceeded(RuntimeError):
         self.kernel: KernelOutcome | None = None
 
 
-def _twin_links(g: Graph) -> list[int]:
-    """prev_twin[w]: the next lower vertex with w's neighborhood, or -1."""
+def _twin_links(g: Graph) -> tuple[int, list[int]]:
+    """The mask of vertices without a lower twin (a vertex with the same
+    neighborhood), and for each vertex the bit of its next higher twin, or 0.
+    """
     last: dict[tuple[int, ...], int] = {}  # sorted adjacency tuples are canonical
-    prev = []
+    untwinned = 0
+    next_twin = [0] * g.vertex_count
     for w, nw in enumerate(g.adjacency):
-        prev.append(last.get(nw, -1))
+        if nw in last:
+            next_twin[last[nw]] = 1 << w
+        else:
+            untwinned |= 1 << w
         last[nw] = w
-    return prev
+    return untwinned, next_twin
 
 
 def _min_cover(g: Graph, limit: int, deadline: float) -> frozenset[int] | None:
@@ -193,64 +197,62 @@ def _tuple_search(
 ):
     """Walk the viable ordered k-tuples of distinct vertices, ascending.
 
-    Maintains the forced-DFS state of the current prefix: the live stack,
-    the parents, and for each vertex how many finished neighbors it has
-    (`shut`, counted while it is outside the prefix) and how many shut
-    neighbors (`near`). `check` runs on each complete tuple (root, live
-    parent map, order) and returns a witness or None; it must copy what it
-    keeps. The first witness wins, which is the lexicographically smallest
+    Keeps the forced-DFS state of the current prefix: the live stack, the
+    parents, and three bitmasks over vertex ids that each descent receives
+    as arguments, so backtracking restores them. `inside` is the prefix.
+    `shut` holds the vertices outside the prefix with a finished neighbor;
+    none of them ever joins, so a cut only adds the neighbors of the cut
+    vertices to it. `free` holds the vertices that have no lower twin or
+    whose next lower twin is in the prefix. A vertex w is shut or has a shut
+    neighbor exactly when `closed[w] & shut`, where closed[w] holds w and
+    its neighbors. `check` runs on each complete tuple (root, live parent
+    map, order) and returns a witness or None; it must copy what it keeps.
+    The first witness wins, which is the lexicographically smallest
     accepting tuple.
 
-    Skips twins without their next lower twin in the prefix, and shut
-    vertices and their neighbors (see the module docstring). With
-    `all_internal` (dual-min) a vertex without a neighbor outside the
-    prefix is not added; with `cover` (dual-max) the last vertex must be an
-    end of the first edge still outside the prefix. Prefixes that break the
-    counting bound of the variant are dropped before they count as visits.
-    The stack and the counts are only kept for prefixes that grow on.
+    The candidates are the free neighbors of the stack outside the prefix,
+    taken in ascending bit order. Shut vertices and their neighbors are
+    skipped (see the module docstring). With `all_internal` (dual-min) a
+    vertex without a neighbor outside the prefix is not added; with `cover`
+    (dual-max) the last vertex must be an end of the first edge still
+    outside the prefix. Prefixes that break the counting bound of the
+    variant are dropped before they count as visits.
     """
     n = g.vertex_count
-    adj = g.adjacency
-    nbr = [frozenset(a) for a in adj]
-    prev_twin = _twin_links(g)
+    nb = [sum(1 << u for u in a) for a in g.adjacency]
+    closed = [m | 1 << w for w, m in enumerate(nb)]
+    everyone = (1 << n) - 1
+    untwinned, next_twin = _twin_links(g)
     deadline = time.perf_counter() + budget.time_limit
     visits = 0
     # dual-min: a minimum cover of size at most ceil(k/2), if there is one
-    cov = (_min_cover(g, (k + 1) // 2, deadline) if all_internal else None) or frozenset()
+    cov = sorted(_min_cover(g, (k + 1) // 2, deadline) or ()) if all_internal else []
+    in_cov = sum(1 << c for c in cov)
     linked = 0  # non-root prefix vertices of cov under a prefix parent in cov
     # dual-max: the vertices of degree above k, all of them internal
-    high = [v for v in range(n) if len(adj[v]) > k] if cover else []
+    high = [v for v in range(n) if len(g.adjacency[v]) > k] if cover else []
     if len(high) > k:
         return None
+    in_high = sum(1 << v for v in high)
 
     parent: dict[int, int | None] = {}
     order: list[int] = []
     stack: list[int] = []
-    shut = [0] * n  # finished neighbors of a vertex outside the prefix
-    near = [0] * n  # shut neighbors of a vertex
     found: list = []
 
-    def finish(cut: list[int], step: int) -> None:
-        """Count the cut vertices as finished (step 1), or undo that (step -1)."""
-        for v in cut:
-            for x in adj[v]:
-                if x not in parent:
-                    shut[x] += step
-                    if shut[x] == (step > 0):  # x was just shut, or just reopened
-                        for y in adj[x]:
-                            near[y] += step
-
-    def hopeless() -> bool:
+    def hopeless(inside: int, shut: int) -> bool:
         """No accepting tuple extends the prefix, by the counting bounds."""
         if cov:
-            dead = sum(1 for c in cov if c not in parent and (shut[c] or near[c]))
-            return 2 * len(cov) - (order[0] in cov) - linked - dead < k
-        left = [v for v in high if v not in parent]
-        return len(left) > k - len(order) or any(shut[v] or near[v] for v in left)
+            dead = sum(1 for c in cov if closed[c] & shut and not inside >> c & 1)
+            return 2 * len(cov) - (in_cov >> order[0] & 1) - linked - dead < k
+        left = in_high & ~inside
+        return left.bit_count() > k - len(order) or any(
+            closed[v] & shut for v in high if left >> v & 1
+        )
 
-    def descend() -> bool:
+    def descend(inside: int, shut: int, free: int) -> bool:
         nonlocal visits, linked
-        if hopeless():
+        if hopeless(inside, shut):
             return False
         visits += 1
         if visits > budget.max_tuple_count:
@@ -264,36 +266,50 @@ def _tuple_search(
                 return True
             return False
         grow = len(order) + 1 < k
-        cands = sorted({w for v in stack for w in adj[v] if w not in parent})
+        outside = ~inside
+        cands = 0
+        for v in stack:
+            cands |= nb[v]
+        cands &= free & outside
         if cover and not grow:
-            edge = _outside_edge(g, parent)
-            if edge is not None:
-                cands = [w for w in cands if w in edge]
-        for w in cands:
-            twin = prev_twin[w]
-            if (twin >= 0 and twin not in parent) or shut[w] or near[w]:
+            # keep the ends of the first edge outside the prefix, if there is one
+            rest = everyone & outside
+            while rest:
+                first = rest & -rest
+                ends = nb[first.bit_length() - 1] & rest
+                if ends:
+                    cands &= first | ends & -ends
+                    break
+                rest ^= first
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            w = low.bit_length() - 1
+            if closed[w] & shut:
                 continue
-            if all_internal and not _has_outside_neighbor(g, w, parent):
+            if all_internal and not nb[w] & outside:
                 continue
             j = len(stack) - 1
-            while stack[j] not in nbr[w]:
+            while not nb[w] >> stack[j] & 1:
                 j -= 1
             parent[w] = stack[j]
             order.append(w)
-            link = w in cov and stack[j] in cov
+            link = in_cov >> w & in_cov >> stack[j] & 1
             linked += link
             if grow:
                 cut = stack[j + 1 :]
                 del stack[j + 1 :]
                 stack.append(w)
-                finish(cut, 1)
+                now = shut
+                for v in cut:
+                    now |= nb[v]
+                now &= ~(inside | low)
                 # w is dead too if the cut shut one of its own neighbors
-                done = not near[w] and descend()
-                finish(cut, -1)
+                done = not nb[w] & now and descend(inside | low, now, free | next_twin[w])
                 stack.pop()
                 stack.extend(cut)
             else:
-                done = descend()
+                done = descend(inside | low, shut, free | next_twin[w])
             linked -= link
             order.pop()
             del parent[w]
@@ -302,13 +318,13 @@ def _tuple_search(
         return False
 
     for root in range(n):
-        if prev_twin[root] >= 0:
+        if not untwinned >> root & 1:
             continue
         parent.clear()
         parent[root] = None
         order[:] = [root]
         stack[:] = [root]
-        if descend():
+        if descend(1 << root, 0, untwinned | next_twin[root]):
             return found[0]
     return None
 

@@ -257,13 +257,9 @@ def _components_chain_ok(g: Graph, t: RootedSpanningTree, idx: AncestorIndex) ->
     return True
 
 
-def _has_outside_neighbor(g: Graph, v: int, inside) -> bool:
-    return any(u not in inside for u in g.adjacency[v])
-
-
 def _leaves_have_outside_neighbor(g: Graph, t: RootedSpanningTree) -> bool:
     inside = t.parent
-    return all(_has_outside_neighbor(g, v, inside) for v in t.leaf_vertices())
+    return all(any(u not in inside for u in g.adjacency[v]) for v in t.leaf_vertices())
 
 
 def _outside_edge(g: Graph, inside) -> tuple[int, int] | None:

@@ -242,6 +242,42 @@ def test_usage_errors(capsys, c4_file):
     assert run(capsys, "gen", "--family", "gnp", "--n", "5", "--p", "0.0")[0] == 64
 
 
+def test_one_parser_serves_a_sequence_of_calls(capsys, monkeypatch, star_file):
+    import lineal.cli as cli
+
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    instance = [star_file, "--variant", "dual-min", "-k", "2"]
+    sequence = [
+        ["solve", star_file, "--variant", "dual-min"],  # usage error: no -k
+        ["solve", "--help"],
+        ["solve", *instance, "--root", "3"],
+        ["solve", *instance],
+        ["oracle", *instance, "--oracle-limit", "5"],
+        ["oracle", *instance],
+    ]
+
+    def outputs(argv):
+        code, out, err = run(capsys, *argv)
+        if out.startswith("{"):
+            out = report_of(out)
+            out.pop("timings_ms")
+        return code, out, err
+
+    fresh = []
+    for argv in sequence:
+        cli._parser.cache_clear()
+        fresh.append(outputs(argv))
+    # a flag given to one call must not leak into the next
+    assert fresh[2][1]["witness"]["root"] == "3" != fresh[3][1]["witness"]["root"]
+    assert (fresh[4][0], fresh[5][0]) == (2, 0)
+    cli._parser.cache_clear()
+    builds.clear()
+    assert [outputs(argv) for argv in sequence] == fresh
+    assert len(builds) == 1
+
+
 def test_parse_errors(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("3 1\n0 0\n")

@@ -219,6 +219,28 @@ def test_accepted_tuple_is_first_around_twice_the_cover():
             _assert_first_accepted_tuples(g, [k for k in range(2 * tau - 1, 2 * tau + 2) if k < 8])
 
 
+@pytest.mark.parametrize(
+    "n, s, seed, k, variant, visits, answer",
+    [
+        # dual-min yes, k = d + 2: the walk backtracks before it accepts
+        (80, 5, 8, 8, Variant.DUAL_MIN_LLT, 404, True),
+        # dual-max no: the whole prefix tree is walked
+        (300, 4, 0, 5, Variant.DUAL_MAX_LLT, 215, False),
+        # dual-min k = 2 tau - 1: the cover bound leaves one path (3295 visits without it)
+        (80, 5, 1, 9, Variant.DUAL_MIN_LLT, 9, True),
+    ],
+    ids=["min-yes", "max-no", "cover-bound"],
+)
+def test_search_decides_at_a_pinned_visit_count(n, s, seed, k, variant, visits, answer):
+    # the prunings drop exactly the same prefixes whatever the state is kept in
+    g = bounded_cover_graph(n, s, 0.3, seed=seed)
+    d = solve_dual_fpt(inst(g, k, variant), SolverBudget(max_tuple_count=visits))
+    assert d.answer is answer and d.reason == "tuple search on the kernel"
+    with pytest.raises(BudgetExceeded) as err:
+        solve_dual_fpt(inst(g, k, variant), SolverBudget(max_tuple_count=visits - 1))
+    assert err.value.phase == "tuple"
+
+
 def test_search_002_reach_min_is_decided():
     # perfbench search seed 7, instance search-002: k = 2 tau on a 115-vertex kernel
     g = bounded_cover_graph(300, 5, 0.3, seed=991707165)
