@@ -2,7 +2,8 @@
 
 `solve` and `bench` run one pipeline for all four variants: kernelize, then
 decide the kernel by the tuple search and lift the witness back. `oracle`
-enumerates the DFS trees of the input graph itself, up to --oracle-limit.
+enumerates the DFS trees of the input graph itself, up to --oracle-limit;
+it runs no tuple search, so it takes --time-limit but not --budget-tuples.
 
 Machine-readable output (JSON reports, generated graphs, CSV sweeps) goes to
 stdout or --output; diagnostics go to stderr. Exit codes: 0 yes, 1 no,
@@ -90,7 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("-k", type=int, required=True, help="the parameter k (>= 0)")
 
     def add_budget_args(p):
-        p.add_argument("--budget-tuples", type=int, default=None, help="max tuple-prefix expansions")
+        p.add_argument("--budget-tuples", type=int, default=None,
+                       help="max tuple-prefix expansions of the search")
         p.add_argument("--time-limit", type=float, default=None,
                        help="time limit in seconds for the whole decision, kernelization included")
 
@@ -109,7 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="decide by exhaustive DFS-tree enumeration")
     add_instance_args(p)
-    add_budget_args(p)
+    p.add_argument("--time-limit", type=float, default=None,
+                   help="time limit in seconds for the enumeration")
     p.add_argument("--oracle-limit", type=int, default=None,
                    help=f"max vertices for exhaustive enumeration (env {ORACLE_LIMIT_ENV})")
 
@@ -154,7 +157,10 @@ def _budget(args) -> SolverBudget:
     Given values pass through unchanged, so SolverBudget rejects zero or
     negative ones as a usage error.
     """
-    given = {"max_tuple_count": args.budget_tuples, "time_limit": args.time_limit}
+    given = {
+        "max_tuple_count": getattr(args, "budget_tuples", None),  # `oracle` has no search
+        "time_limit": args.time_limit,
+    }
     return SolverBudget(**{k: v for k, v in given.items() if v is not None})
 
 

@@ -219,6 +219,8 @@ def parse_witness(text: str, loaded: LoadedGraph) -> RootedSpanningTree:
         raise GraphParseError(f"witness is not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or "root" not in doc or "parents" not in doc:
         raise GraphParseError("witness must be an object with 'root' and 'parents'")
+    if not isinstance(doc["parents"], dict):
+        raise GraphParseError("witness 'parents' must be an object mapping vertex to parent labels")
     by_label = {lab: i for i, lab in enumerate(loaded.labels)}
     try:
         root = by_label[str(doc["root"])]

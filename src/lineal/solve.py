@@ -552,11 +552,11 @@ def solve_exact_oracle(
     # qualifying witness are unchanged, and the time budget can be checked
     # between runs even when duplicates vastly outnumber distinct trees.
     for root in range(n):
-        for parent, order in _forced_runs(g, root):
+        for parent, order, internal in _forced_runs(g, root):
             runs += 1
             if not (runs & 255) and time.perf_counter() > deadline:
                 raise BudgetExceeded("time")
-            if lo <= len({p for p in parent.values() if p is not None}) <= hi:
-                witness = RootedSpanningTree(root, dict(parent), tuple(order))
+            if lo <= internal <= hi:
+                witness = RootedSpanningTree(root, {v: parent[v] for v in order}, tuple(order))
                 return Decision(True, witness=witness, reason=_EXHAUSTIVE)
     return Decision(False, reason=_EXHAUSTIVE)

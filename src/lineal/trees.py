@@ -5,6 +5,12 @@ in T joins an ancestor-descendant pair of T. The predicates here also cover
 partial trees (covering a subset of V(G)), which is what the tuple-guessing
 solvers extend to full trees.
 
+The exhaustive oracle (`enumerate_dfs_trees`, `internal_profile`, and
+`solve.solve_exact_oracle` outside this module) walks every DFS execution
+from every root through one generator, `_forced_runs`, which yields each
+run with its internal-vertex count. It refuses graphs above a vertex limit,
+ORACLE_LIMIT_DEFAULT unless the caller raises it.
+
 Everything in this module is a pure function of immutable inputs; the
 enumeration generators are single-consumer but independent enumerations may
 run concurrently.
@@ -332,47 +338,62 @@ def extendable_all_leaves(g: Graph, t: RootedSpanningTree) -> bool:
 def _forced_runs(g: Graph, root: int):
     """Every complete DFS execution from `root`, one per discovery order.
 
-    Yields the live (parent, order) state; consumers must copy what they
-    keep. Distinct runs can build the same tree, so callers wanting distinct
-    trees must deduplicate. Each step branches over the undiscovered
-    neighbors, ascending, of the deepest stack vertex that has any; the
-    branching is kept on an explicit frame stack, so a long path does not
-    exhaust Python's recursion limit.
+    Yields the live (parent, order, internal) state of each run: `parent`
+    is a list indexed by vertex (None at the root), `order` the discovery
+    order and `internal` the run's number of vertices with a child.
+    Consumers must copy what they keep. Distinct runs can build the same
+    tree, so callers wanting distinct trees must deduplicate; `tuple(parent)`
+    identifies the tree. Nothing is yielded when g is disconnected.
+
+    Each step branches over the undiscovered neighbors, ascending, of the
+    deepest stack vertex that has any. The DFS stack is always the tree path
+    from the root to the last discovered vertex, so it is walked through
+    `parent` rather than kept. The discovered set is an int bitmask tested
+    against one neighbor mask per vertex. One frame per discovered vertex
+    after the root holds its parent, the mask of candidates not yet taken,
+    and the discovered set and internal count the run had on opening it;
+    the internal count rises by one exactly when the parent is the last
+    discovered vertex, the only stack vertex without a child. The frames
+    sit on an explicit stack, so a long path does not exhaust Python's
+    recursion limit.
     """
     n = g.vertex_count
-    adj = g.adjacency
-    parent: dict[int, int | None] = {root: None}
+    nb = [0] * n
+    for v, av in enumerate(g.adjacency):
+        for u in av:
+            nb[v] |= 1 << u
+    full = (1 << n) - 1
+    parent: list[int | None] = [None] * n
     order = [root]
-    stack = [root]
-    frames: list[list] = []  # [candidates, next candidate, vertices cut off the stack]
+    seen = 1 << root
+    internal = 0
+    frames: list[list] = []  # [parent, candidates left, seen before, internal after]
     while True:
-        if len(order) == n:
-            yield parent, order
+        if seen == full:
+            yield parent, order, internal
         else:
-            i = len(stack) - 1
-            while i >= 0:
-                cand = [w for w in adj[stack[i]] if w not in parent]
-                if cand:
-                    frames.append([cand, 0, stack[i + 1 :]])
-                    del stack[i + 1 :]
+            v = order[-1]
+            while v is not None:
+                left = nb[v] & ~seen
+                if left:
+                    frames.append([v, left, seen, internal + (v == order[-1])])
+                    order.append(v)  # placeholder for the frame's candidate
                     break
-                i -= 1
+                v = parent[v]
         while frames:
             frame = frames[-1]
-            cand, j, saved = frame
-            if j:  # undo the previous candidate
-                stack.pop()
-                order.pop()
-                del parent[cand[j - 1]]
-            if j < len(cand):
-                w = cand[j]
-                frame[1] = j + 1
-                parent[w] = stack[-1]
-                order.append(w)
-                stack.append(w)
+            left = frame[1]
+            if left:
+                low = left & -left
+                frame[1] = left ^ low
+                w = low.bit_length() - 1
+                parent[w] = frame[0]
+                order[-1] = w
+                seen = frame[2] | low
+                internal = frame[3]
                 break
-            stack.extend(saved)
             frames.pop()
+            order.pop()
         else:
             return
 
@@ -392,15 +413,14 @@ def enumerate_dfs_trees(
         )
 
     def gen():
-        n = g.vertex_count
-        for root in range(n):
-            seen: set[tuple[int, ...]] = set()
-            for parent, order in _forced_runs(g, root):
-                key = tuple(parent[v] if parent[v] is not None else -1 for v in range(n))
+        for root in range(g.vertex_count):
+            seen: set[tuple[int | None, ...]] = set()
+            for parent, order, _ in _forced_runs(g, root):
+                key = tuple(parent)
                 if key in seen:
                     continue
                 seen.add(key)
-                yield RootedSpanningTree(root, dict(parent), tuple(order))
+                yield RootedSpanningTree(root, {v: parent[v] for v in order}, tuple(order))
 
     return gen()
 
@@ -415,8 +435,6 @@ def internal_profile(g: Graph, *, limit: int = ORACLE_LIMIT_DEFAULT) -> frozense
         raise OracleLimitError(
             f"graph has {g.vertex_count} vertices, oracle limit is {limit}"
         )
-    out: set[int] = set()
-    for root in range(g.vertex_count):
-        for parent, _ in _forced_runs(g, root):
-            out.add(len({p for p in parent.values() if p is not None}))
-    return frozenset(out)
+    return frozenset(
+        internal for root in range(g.vertex_count) for _, _, internal in _forced_runs(g, root)
+    )

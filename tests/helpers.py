@@ -97,6 +97,35 @@ def bf_first_accepted_tuple(g: Graph, k: int, dual_min: bool) -> tuple[int, ...]
     return None
 
 
+def reference_dfs_runs(g: Graph, root: int) -> list[tuple[dict, tuple[int, ...]]]:
+    """Every complete DFS run from `root` as (parent map, discovery order).
+
+    Plain recursion: each step branches, in ascending order, over the
+    undiscovered neighbors of the deepest stack vertex that has any. Runs
+    come out in branching order, repeats included (different orders can
+    build the same tree); a disconnected graph gives none.
+    """
+    n = g.vertex_count
+    runs = []
+
+    def grow(parent, order, stack):
+        if len(order) == n:
+            runs.append((dict(parent), tuple(order)))
+            return
+        while stack:
+            cand = sorted(w for w in g.adjacency[stack[-1]] if w not in parent)
+            if cand:
+                break
+            stack = stack[:-1]
+        for w in cand:  # empty when the stack ran out
+            parent[w] = stack[-1]
+            grow(parent, order + [w], stack + [w])
+            del parent[w]
+
+    grow({root: None}, [root], [root])
+    return runs
+
+
 def all_partial_trees(g: Graph):
     """Every rooted subtree of g: a connected vertex subset, a spanning tree
     of its induced subgraph, and a choice of root."""

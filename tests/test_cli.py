@@ -116,6 +116,16 @@ def test_verify_accepts_and_rejects(capsys, c4_file, tmp_path):
     assert "not a spanning tree" in report_of(out)["reason"]
 
 
+@pytest.mark.parametrize("parents", [[], "0", 0], ids=["list", "string", "number"])
+def test_verify_rejects_parents_that_are_not_an_object(capsys, c4_file, tmp_path, parents):
+    witness = tmp_path / "w.json"
+    witness.write_text(json.dumps({"root": 0, "parents": parents}))
+    code, out, err = run(capsys, "verify", c4_file, "--witness", str(witness))
+    assert code == 65
+    assert out == ""
+    assert err.startswith("parse error:") and "parents" in err
+
+
 def test_oracle_and_limit(capsys, c4_file, monkeypatch):
     code, out, _ = run(capsys, "oracle", c4_file, "--variant", "max-llt", "-k", "2")
     assert code == 1
@@ -327,6 +337,21 @@ def test_only_oracle_takes_an_oracle_limit(capsys, star_file):
     assert code == 2
     assert report_of(out)["reason"] == "graph has 6 vertices, oracle limit is 5"
     assert report_of(out)["kernel"] == {"ran": False}
+
+
+def test_oracle_takes_no_tuple_budget(capsys, tmp_path):
+    g9 = tmp_path / "g9.txt"
+    g9.write_text(serialize_graph(generate("gnp", seed=2, n=9, p=0.5)))
+    argv = ["oracle", str(g9), "--variant", "dual-max", "-k", "2"]
+    code, out, err = run(capsys, *argv, "--budget-tuples", "1")
+    assert code == 64 and out == ""
+    assert "--budget-tuples" in err
+    code, out, _ = run(capsys, *argv, "--time-limit", "5")
+    assert code == 1
+    assert report_of(out)["reason"] == "exhaustive enumeration"
+    code, out, _ = run(capsys, "oracle", "--help")
+    assert code == 0
+    assert "--time-limit" in out and "--budget-tuples" not in out
 
 
 def test_undecided_search_reports_the_kernel(capsys, star_file):

@@ -6,7 +6,9 @@ from lineal import (
     Graph,
     InvalidTreeError,
     OracleLimitError,
+    ProblemInstance,
     RootedSpanningTree,
+    Variant,
     dfs_any,
     dfs_tree_violation,
     enumerate_dfs_trees,
@@ -15,10 +17,22 @@ from lineal import (
     extendable_all_leaves,
     internal_profile,
     is_dfs_tree,
+    solve_exact_oracle,
     tree_respecting_ordering,
 )
+from lineal.generate import gnp_graph
 
-from helpers import C4, K3, P3, P4, PAW, STAR3, atlas_connected, connected_graphs
+from helpers import (
+    C4,
+    K3,
+    P3,
+    P4,
+    PAW,
+    STAR3,
+    atlas_connected,
+    connected_graphs,
+    reference_dfs_runs,
+)
 
 
 def tree(root, parent, order=None):
@@ -212,6 +226,47 @@ def test_profile_examples():
     assert internal_profile(STAR3) == {1, 2}
     assert internal_profile(K3) == {2}
     assert internal_profile(Graph(0, [])) == frozenset()
+
+
+# Each variant's yes condition on a tree's (internal, leaf) counts, stated
+# apart from Variant.internal_bounds.
+_QUALIFIES = {
+    Variant.MIN_LLT: lambda internal, leaves, k: leaves <= k,
+    Variant.MAX_LLT: lambda internal, leaves, k: leaves >= k,
+    Variant.DUAL_MIN_LLT: lambda internal, leaves, k: internal >= k,
+    Variant.DUAL_MAX_LLT: lambda internal, leaves, k: internal <= k,
+}
+
+
+def test_enumeration_follows_the_reference_order():
+    corpus = atlas_connected(6) + [
+        gnp_graph(8, 0.5, seed=1), gnp_graph(8, 0.7, seed=2), gnp_graph(9, 0.4, seed=3)
+    ]
+    for g in corpus:
+        n = g.vertex_count
+        runs = []  # (root, parent, order, internal) over every root, in walk order
+        for root in range(n):
+            for parent, order in reference_dfs_runs(g, root):
+                internal = len({p for p in parent.values() if p is not None})
+                runs.append((root, parent, order, internal))
+        distinct, seen = [], set()
+        for root, parent, order, _ in runs:
+            key = (root, tuple(sorted(parent.items())))
+            if key not in seen:
+                seen.add(key)
+                distinct.append((root, parent, order))
+        got = [(t.root, t.parent, t.order) for t in enumerate_dfs_trees(g)]
+        assert got == distinct
+        assert internal_profile(g) == {internal for *_, internal in runs}
+        for variant, qualifies in _QUALIFIES.items():
+            for k in range(n + 2):
+                first = next(
+                    (run[:3] for run in runs if qualifies(run[3], n - run[3], k)), None
+                )
+                decision = solve_exact_oracle(ProblemInstance(g, k, variant))
+                assert decision.answer is (first is not None)
+                w = decision.witness
+                assert (None if w is None else (w.root, w.parent, w.order)) == first
 
 
 def test_every_enumerated_tree_is_a_dfs_tree_and_round_trips():
