@@ -61,9 +61,9 @@ from .trees import (
     dfs_any,
     dfs_tree_violation,
     enumerate_dfs_trees,
-    extendable,
-    extendable_all_internal,
-    extendable_all_leaves,
+    extension,
+    extension_all_internal,
+    extension_all_leaves,
     internal_profile,
     is_dfs_tree,
     tree_respecting_ordering,

@@ -280,6 +280,8 @@ def _decide(args, run) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.k is not None and args.k < 0:
+        raise _UsageError("k must be non-negative")
     loaded = _read_graph(args.graph)
     try:
         if args.witness == "-":

@@ -108,6 +108,8 @@ def _parse_dimacs(lines: list[str]) -> LoadedGraph:
                 n, m = int(parts[2]), int(parts[3])
             except ValueError:
                 raise MalformedLineError("problem line fields must be integers", lineno) from None
+            if n < 0 or m < 0:
+                raise MalformedLineError("problem line fields must be non-negative", lineno)
             continue
         if parts[0] == "e":
             if n < 0:

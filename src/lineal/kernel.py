@@ -125,7 +125,7 @@ class ReductionTrace:
             if isinstance(ev, PendantDeleted):
                 parent[ev.removed] = ev.kept_under
             else:
-                parent[ev.removed] = idx.deepest(g.adjacency[ev.removed])
+                parent[ev.removed] = idx.chain_end(g.adjacency[ev.removed])
         return RootedSpanningTree(root, parent)
 
 

@@ -69,19 +69,16 @@ import time
 from collections import Counter
 from dataclasses import dataclass, replace
 
-from .graphs import Graph, components_outside, greedy_cover, is_connected
+from .graphs import Graph, greedy_cover, is_connected
 from .kernel import Decided, KernelOutcome, ProblemInstance, Variant, kernelize
 from .trees import (
     ORACLE_LIMIT_DEFAULT,
-    AncestorIndex,
     OracleLimitError,
     RootedSpanningTree,
-    _components_chain_ok,
     _forced_runs,
-    _leaves_have_outside_neighbor,
-    _outside_is_independent,
-    _outside_sees_chains,
     dfs_any,
+    extension_all_internal,
+    extension_all_leaves,
     is_dfs_tree,
 )
 
@@ -186,15 +183,7 @@ def _cover_within(edges: list[tuple[int, int]], b: int, deadline: float) -> list
     return None
 
 
-def _tuple_search(
-    g: Graph,
-    k: int,
-    check,
-    budget: SolverBudget,
-    *,
-    all_internal: bool = False,
-    cover: bool = False,
-):
+def _tuple_search(g: Graph, k: int, variant: Variant, budget: SolverBudget):
     """Walk the viable ordered k-tuples of distinct vertices, ascending.
 
     Keeps the forced-DFS state of the current prefix: the live stack, the
@@ -205,19 +194,23 @@ def _tuple_search(
     vertices to it. `free` holds the vertices that have no lower twin or
     whose next lower twin is in the prefix. A vertex w is shut or has a shut
     neighbor exactly when `closed[w] & shut`, where closed[w] holds w and
-    its neighbors. `check` runs on each complete tuple (root, live parent
-    map, order) and returns a witness or None; it must copy what it keeps.
-    The first witness wins, which is the lexicographically smallest
-    accepting tuple.
+    its neighbors. Each complete tuple's partial tree (root, live parent
+    map) goes to the variant's builder, `extension_all_internal` for
+    dual-min and `extension_all_leaves` for dual-max, which copies what it
+    keeps. The first tree built wins, which is the lexicographically
+    smallest accepting tuple.
 
     The candidates are the free neighbors of the stack outside the prefix,
     taken in ascending bit order. Shut vertices and their neighbors are
-    skipped (see the module docstring). With `all_internal` (dual-min) a
-    vertex without a neighbor outside the prefix is not added; with `cover`
-    (dual-max) the last vertex must be an end of the first edge still
-    outside the prefix. Prefixes that break the counting bound of the
-    variant are dropped before they count as visits.
+    skipped (see the module docstring). For dual-min a vertex without a
+    neighbor outside the prefix is not added; for dual-max the last vertex
+    must be an end of the first edge still outside the prefix. Prefixes that
+    break the counting bound of the variant are dropped before they count
+    as visits.
     """
+    all_internal = variant is Variant.DUAL_MIN_LLT
+    cover = not all_internal
+    extend = extension_all_internal if all_internal else extension_all_leaves
     n = g.vertex_count
     nb = [sum(1 << u for u in a) for a in g.adjacency]
     closed = [m | 1 << w for w, m in enumerate(nb)]
@@ -260,7 +253,7 @@ def _tuple_search(
         if not (visits & 1023) and time.perf_counter() > deadline:
             raise BudgetExceeded("time")
         if len(order) == k:
-            witness = check(order[0], parent, order)
+            witness = extend(g, RootedSpanningTree(order[0], parent))
             if witness is not None:
                 found.append((tuple(order), witness))
                 return True
@@ -329,57 +322,6 @@ def _tuple_search(
     return None
 
 
-def _extend_keeping_covered_internal(
-    g: Graph, t: RootedSpanningTree, idx: AncestorIndex
-) -> RootedSpanningTree:
-    """Grow t to a spanning tree by hanging each outside component below the
-    deepest tree vertex its neighborhood touches, via a DFS of the component.
-
-    Sound when extendable_all_internal holds: each component's boundary is a
-    chain, so all its edges back into the tree reach ancestors, and every
-    leaf of t picks up a child.
-    """
-    parent = dict(t.parent)
-    inside = t.parent
-    for comp in components_outside(g, inside):
-        boundary = {u for w in comp for u in g.adjacency[w] if u in inside}
-        anchor = idx.deepest(boundary)
-        start = min(w for w in comp if g.adjacent(w, anchor))
-        parent[start] = anchor
-        stack = [[start, 0]]
-        seen = {start}
-        while stack:
-            v, i = stack[-1]
-            av = g.adjacency[v]
-            while i < len(av) and (av[i] not in comp or av[i] in seen):
-                i += 1
-            if i == len(av):
-                stack.pop()
-                continue
-            stack[-1][1] = i + 1
-            w = av[i]
-            parent[w] = v
-            seen.add(w)
-            stack.append([w, 0])
-    return RootedSpanningTree(t.root, parent)
-
-
-def _extend_keeping_outside_leaves(
-    g: Graph, t: RootedSpanningTree, idx: AncestorIndex
-) -> RootedSpanningTree:
-    """Grow t by attaching every outside vertex as a leaf under its deepest neighbor.
-
-    Sound when extendable_all_leaves holds: outside vertices are pairwise
-    non-adjacent and each sees only one root-to-leaf path of t.
-    """
-    parent = dict(t.parent)
-    inside = t.parent
-    for v in range(g.vertex_count):
-        if v not in inside:
-            parent[v] = idx.deepest(g.adjacency[v])
-    return RootedSpanningTree(t.root, parent)
-
-
 def _checked(g: Graph, t: RootedSpanningTree, variant: Variant, k: int) -> RootedSpanningTree:
     """Validate a constructed witness instead of trusting the construction."""
     if not is_dfs_tree(g, t):
@@ -393,11 +335,9 @@ def _checked(g: Graph, t: RootedSpanningTree, variant: Variant, k: int) -> Roote
     return t
 
 
-def _xp(
-    g: Graph, k: int, variant: Variant, check, budget: SolverBudget | None, **search
-) -> Decision:
+def _xp(g: Graph, k: int, variant: Variant, budget: SolverBudget | None) -> Decision:
     """Shared frame of the two tuple solvers: settle the trivial cases, run
-    the tuple search with `check`, validate the accepted witness.
+    the tuple search for the variant, validate the accepted witness.
 
     With k = 0 or n <= k every DFS tree has the same answer (its internal
     count is at most n - 1, and it is 0 only on one vertex), so one DFS
@@ -409,7 +349,7 @@ def _xp(
         t = dfs_any(g, 0)
         lo, hi = variant.internal_bounds(g.vertex_count, k)
         return Decision(True, witness=t) if lo <= t.internal_count() <= hi else Decision(False)
-    hit = _tuple_search(g, k, check, budget or SolverBudget(), **search)
+    hit = _tuple_search(g, k, variant, budget or SolverBudget())
     if hit is None:
         return Decision(False)
     tup, witness = hit
@@ -420,38 +360,20 @@ def solve_dual_min_xp(g: Graph, k: int, budget: SolverBudget | None = None) -> D
     """Does g have a DFS tree with at least k internal vertices? Time n^O(k).
 
     Guesses the k internal vertices in discovery order; a guess is accepted
-    when its tree extends to a DFS tree keeping all k internal.
+    when `extension_all_internal` grows its tree to a DFS tree keeping all k
+    internal, and that tree is the witness.
     """
-
-    def check(root, parent, order):
-        t = RootedSpanningTree(root, parent)  # live view; the extension copies it
-        if not _leaves_have_outside_neighbor(g, t):
-            return None
-        idx = AncestorIndex.build(t)
-        if not _components_chain_ok(g, t, idx):
-            return None
-        return _extend_keeping_covered_internal(g, t, idx)
-
-    return _xp(g, k, Variant.DUAL_MIN_LLT, check, budget, all_internal=True)
+    return _xp(g, k, Variant.DUAL_MIN_LLT, budget)
 
 
 def solve_dual_max_xp(g: Graph, k: int, budget: SolverBudget | None = None) -> Decision:
     """Does g have a DFS tree with at most k internal vertices? Time n^O(k).
 
-    Guesses the k vertices allowed to be internal (including the root); all
-    other vertices must be attachable as leaves.
+    Guesses the k vertices allowed to be internal (including the root); a
+    guess is accepted when `extension_all_leaves` attaches every other
+    vertex as a leaf, and that tree is the witness.
     """
-
-    def check(root, parent, order):
-        if not _outside_is_independent(g, parent):
-            return None
-        t = RootedSpanningTree(root, parent)  # live view; the extension copies it
-        idx = AncestorIndex.build(t)
-        if not _outside_sees_chains(g, parent, idx):
-            return None
-        return _extend_keeping_outside_leaves(g, t, idx)
-
-    return _xp(g, k, Variant.DUAL_MAX_LLT, check, budget, cover=True)
+    return _xp(g, k, Variant.DUAL_MAX_LLT, budget)
 
 
 def solve_dual_fpt_with_kernel(

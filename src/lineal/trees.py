@@ -2,8 +2,11 @@
 
 A rooted spanning tree T of a graph G is a DFS tree iff every edge of G not
 in T joins an ancestor-descendant pair of T. The predicates here also cover
-partial trees (covering a subset of V(G)), which is what the tuple-guessing
-solvers extend to full trees.
+partial trees (covering a subset of V(G)). Three builders extend a partial
+tree to a full DFS tree, or say that none exists: `extension` keeps only
+the partial tree, `extension_all_internal` also keeps every covered vertex
+internal and `extension_all_leaves` makes every uncovered vertex a leaf.
+The tuple-guessing solvers call the last two on each complete tuple.
 
 The exhaustive oracle (`enumerate_dfs_trees`, `internal_profile`, and
 `solve.solve_exact_oracle` outside this module) walks every DFS execution
@@ -121,17 +124,17 @@ class AncestorIndex:
         """True iff u is an ancestor of v; every vertex is its own ancestor."""
         return self.enter[u] <= self.enter[v] and self.exit[v] <= self.exit[u]
 
-    def is_chain(self, vertices: Iterable[int]) -> bool:
-        """True iff the vertices are pairwise comparable, i.e. lie on one root-to-leaf path."""
+    def chain_end(self, vertices: Iterable[int]) -> int | None:
+        """The deepest of the vertices when they lie on one root-to-leaf path, else None.
+
+        The deepest is the one entered last. An empty set has none, so it
+        gives None too.
+        """
         vs = sorted(vertices, key=self.enter.__getitem__)
         for a, b in zip(vs, vs[1:]):
             if self.exit[b] > self.exit[a]:
-                return False
-        return True
-
-    def deepest(self, vertices: Iterable[int]) -> int:
-        """Deepest member of a chain (the one entered last)."""
-        return max(vertices, key=self.enter.__getitem__)
+                return None
+        return vs[-1] if vs else None
 
 
 def dfs_tree_violation(
@@ -251,85 +254,99 @@ def dfs_any(g: Graph, root: int) -> RootedSpanningTree:
 
 
 # ---------------------------------------------------------------------------
-# Extendability of partial trees.
+# Extensions of partial trees.
 
-def _components_chain_ok(g: Graph, t: RootedSpanningTree, idx: AncestorIndex) -> bool:
-    """Each component outside t must see only one root-to-leaf path of t."""
+def _indexed(g: Graph, t: RootedSpanningTree) -> AncestorIndex | None:
+    """t's ancestor index when t is a DFS tree of the subgraph induced on its
+    covered set, else None."""
+    idx = AncestorIndex.build(t)
+    return idx if dfs_tree_violation(g, t, idx) is None else None
+
+
+def _hang_components(
+    g: Graph, t: RootedSpanningTree, idx: AncestorIndex
+) -> RootedSpanningTree | None:
+    """Grow t by hanging each outside component below the deepest vertex of
+    its neighborhood, via a DFS of the component from its lowest vertex
+    adjacent to that anchor; None when some neighborhood is not a chain.
+    """
+    parent = dict(t.parent)
     inside = t.parent
+    adj = g.adjacency
     for comp in components_outside(g, inside):
-        boundary = {u for w in comp for u in g.adjacency[w] if u in inside}
-        if not idx.is_chain(boundary):
-            return False
-    return True
+        anchor = idx.chain_end({u for w in comp for u in adj[w] if u in inside})
+        if anchor is None:
+            return None
+        start = min(w for w in comp if g.adjacent(w, anchor))
+        parent[start] = anchor
+        stack = [[start, 0]]
+        seen = {start}
+        while stack:
+            v, i = stack[-1]
+            av = adj[v]
+            while i < len(av) and (av[i] not in comp or av[i] in seen):
+                i += 1
+            if i == len(av):
+                stack.pop()
+                continue
+            stack[-1][1] = i + 1
+            w = av[i]
+            parent[w] = v
+            seen.add(w)
+            stack.append([w, 0])
+    return RootedSpanningTree(t.root, parent)
 
 
-def _leaves_have_outside_neighbor(g: Graph, t: RootedSpanningTree) -> bool:
+def extension(g: Graph, t: RootedSpanningTree) -> RootedSpanningTree | None:
+    """A DFS tree of g with t's root that contains t, or None when there is none.
+
+    One exists iff t is a DFS tree of the subgraph induced on its covered
+    set and the neighborhood of every outside component is a nonempty set
+    on one root-to-leaf path of t. Raises InvalidTreeError when t is not a
+    tree over g's edges.
+    """
+    idx = _indexed(g, t)
+    return None if idx is None else _hang_components(g, t, idx)
+
+
+def extension_all_internal(g: Graph, t: RootedSpanningTree) -> RootedSpanningTree | None:
+    """A DFS tree of g that contains t with every covered vertex internal, or None.
+
+    Adds to `extension` that every leaf of t has a neighbor outside the
+    covered set: the component holding that neighbor hangs below the leaf or
+    below a descendant of it, so the leaf gains a child.
+    """
+    idx = _indexed(g, t)
+    if idx is None:
+        return None
     inside = t.parent
-    return all(any(u not in inside for u in g.adjacency[v]) for v in t.leaf_vertices())
+    if not all(any(u not in inside for u in g.adjacency[v]) for v in t.leaf_vertices()):
+        return None
+    return _hang_components(g, t, idx)
 
 
-def _outside_edge(g: Graph, inside) -> tuple[int, int] | None:
-    """An edge with both ends uncovered, or None."""
+def extension_all_leaves(g: Graph, t: RootedSpanningTree) -> RootedSpanningTree | None:
+    """A DFS tree of g that contains t with every uncovered vertex a leaf, or None.
+
+    One exists iff t extends and the uncovered set is independent with each
+    uncovered vertex's (nonempty) neighborhood on one root-to-leaf path of
+    t; each uncovered vertex then goes under its deepest neighbor.
+    """
+    idx = _indexed(g, t)
+    if idx is None:
+        return None
+    parent = dict(t.parent)
+    inside = t.parent
     for v in range(g.vertex_count):
         if v not in inside:
-            for u in g.adjacency[v]:
-                if u not in inside:
-                    return v, u
-    return None
-
-
-def _outside_is_independent(g: Graph, inside) -> bool:
-    """Every uncovered vertex must be adjacent only to covered vertices."""
-    return _outside_edge(g, inside) is None
-
-
-def _outside_sees_chains(g: Graph, inside, idx: AncestorIndex) -> bool:
-    """Every uncovered vertex's neighborhood must lie on one root-to-leaf path.
-
-    Assumes `_outside_is_independent` holds, so every neighbor is indexed.
-    """
-    return all(
-        idx.is_chain(g.adjacency[v]) for v in range(g.vertex_count) if v not in inside
-    )
-
-
-def extendable(g: Graph, t: RootedSpanningTree) -> bool:
-    """Can t grow into a DFS tree of g with the same root?
-
-    Holds iff t is a DFS tree of the subgraph induced on its covered set and
-    the neighborhood of every outside component lies on one root-to-leaf
-    path of t.
-    """
-    idx = AncestorIndex.build(t)
-    if dfs_tree_violation(g, t, idx) is not None:
-        return False
-    return _components_chain_ok(g, t, idx)
-
-
-def extendable_all_internal(g: Graph, t: RootedSpanningTree) -> bool:
-    """Can t grow into a DFS tree in which every covered vertex is internal?
-
-    Adds to `extendable` the requirement that every leaf of t has a neighbor
-    outside the covered set (something must eventually hang below it).
-    """
-    idx = AncestorIndex.build(t)
-    if dfs_tree_violation(g, t, idx) is not None:
-        return False
-    if not _leaves_have_outside_neighbor(g, t):
-        return False
-    return _components_chain_ok(g, t, idx)
-
-
-def extendable_all_leaves(g: Graph, t: RootedSpanningTree) -> bool:
-    """Can t grow into a DFS tree in which every uncovered vertex is a leaf?
-
-    Requires the uncovered set to be independent and each uncovered vertex's
-    neighborhood to lie on one root-to-leaf path of t.
-    """
-    idx = AncestorIndex.build(t)
-    if dfs_tree_violation(g, t, idx) is not None:
-        return False
-    return _outside_is_independent(g, t.parent) and _outside_sees_chains(g, t.parent, idx)
+            av = g.adjacency[v]
+            if any(u not in inside for u in av):
+                return None
+            anchor = idx.chain_end(av)
+            if anchor is None:
+                return None
+            parent[v] = anchor
+    return RootedSpanningTree(t.root, parent)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from lineal import (
     Graph,
-    extendable_all_internal,
-    extendable_all_leaves,
+    extension_all_internal,
+    extension_all_leaves,
     internal_profile,
     tree_respecting_ordering,
 )
@@ -89,10 +89,10 @@ def bf_first_accepted_tuple(g: Graph, k: int, dual_min: bool) -> tuple[int, ...]
 
     Walks every permutation in order, with no pruning at all.
     """
-    extends = extendable_all_internal if dual_min else extendable_all_leaves
+    extension = extension_all_internal if dual_min else extension_all_leaves
     for tup in permutations(range(g.vertex_count), k):
         t = tree_respecting_ordering(g, tup)
-        if t is not None and extends(g, t):
+        if t is not None and extension(g, t) is not None:
             return tup
     return None
 

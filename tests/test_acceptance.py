@@ -234,16 +234,25 @@ def test_criterion_7_internal_sets_are_small_covers():
 
 def test_criterion_8_orderings_and_extendability():
     """Every enumerated tree's discovery order rebuilds the identical tree;
-    the extendability predicates equal exhaustive extension search over all
-    partial trees of graphs with n <= 7."""
-    from lineal import extendable, extendable_all_internal, extendable_all_leaves
+    the extension builders find a tree exactly when exhaustive extension
+    search over all partial trees of graphs with n <= 7 does, and every tree
+    they build is a DFS tree of the graph that contains the partial tree and
+    has the promised property. Disconnected graphs have no extension."""
+    from lineal import extension, extension_all_internal, extension_all_leaves
 
     for g in grid8():
         for t in enumerate_dfs_trees(g):
             assert tree_respecting_ordering(g, t.order) == t
 
+    disconnected = [
+        Graph(2, []),
+        Graph(3, [(0, 1)]),
+        Graph(4, [(0, 1), (2, 3)]),
+        Graph(5, [(0, 1), (0, 2), (0, 3)]),
+        Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)]),
+    ]
     partials_checked = 0
-    small = atlas6() + [g for g in rand789() if g.vertex_count == 7][:10]
+    small = atlas6() + [g for g in rand789() if g.vertex_count == 7][:10] + disconnected
     for g in small:
         by_root: dict[int, list] = {}
         for t in enumerate_dfs_trees(g):
@@ -255,12 +264,27 @@ def test_criterion_8_orderings_and_extendability():
                 for parent, internal in by_root.get(pt.root, [])
                 if all(parent[v] == p for v, p in pt.parent.items())
             ]
-            assert extendable(g, pt) == bool(exts), (g.adjacency, pt.parent)
-            assert extendable_all_internal(g, pt) == any(
-                covered <= internal for _, internal in exts
-            ), (g.adjacency, pt.parent)
-            assert extendable_all_leaves(g, pt) == any(
-                internal <= covered for _, internal in exts
-            ), (g.adjacency, pt.parent)
+            built = {
+                "any": (extension(g, pt), bool(exts)),
+                "all internal": (
+                    extension_all_internal(g, pt),
+                    any(covered <= internal for _, internal in exts),
+                ),
+                "all leaves": (
+                    extension_all_leaves(g, pt),
+                    any(internal <= covered for _, internal in exts),
+                ),
+            }
+            for kind, (ext, exists) in built.items():
+                case = (kind, g.adjacency, pt.parent)
+                assert (ext is not None) == exists, case
+                if ext is None:
+                    continue
+                assert ext.root == pt.root and is_dfs_tree(g, ext), case
+                assert all(ext.parent[v] == p for v, p in pt.parent.items()), case
+                if kind == "all internal":
+                    assert covered <= ext.internal_vertices(), case
+                if kind == "all leaves":
+                    assert ext.internal_vertices() <= covered, case
             partials_checked += 1
     _passed(8, f"order round-trips, extendability on {partials_checked} partial trees")

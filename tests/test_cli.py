@@ -126,6 +126,18 @@ def test_verify_rejects_parents_that_are_not_an_object(capsys, c4_file, tmp_path
     assert err.startswith("parse error:") and "parents" in err
 
 
+@pytest.mark.parametrize("variant", ["min-llt", "max-llt", "dual-min", "dual-max"])
+def test_verify_rejects_a_negative_k(capsys, c4_file, tmp_path, variant):
+    witness = tmp_path / "w.json"
+    witness.write_text(json.dumps(witness_to_jsonable(dfs_any(C4, 0), ("0", "1", "2", "3"))))
+    code, out, err = run(
+        capsys, "verify", c4_file, "--witness", str(witness), "--variant", variant, "-k", "-1"
+    )
+    assert code == 64
+    assert out == ""
+    assert "k must be non-negative" in err
+
+
 def test_oracle_and_limit(capsys, c4_file, monkeypatch):
     code, out, _ = run(capsys, "oracle", c4_file, "--variant", "max-llt", "-k", "2")
     assert code == 1

@@ -82,9 +82,17 @@ def test_parse_errors_are_distinct_and_carry_lines():
             "label 'c' brings the distinct labels to 3, but only 2 vertices are declared",
             3,
         ),
+        (
+            "p edge -1 0\np edge 3 2\ne 1 2\ne 2 3\n",
+            MalformedLineError,
+            "problem line fields must be non-negative",
+            1,
+        ),
+        ("p edge -2 -1\n", MalformedLineError, "problem line fields must be non-negative", 1),
     ],
     ids=["dimacs-loop", "dimacs-reversed-duplicate", "edgelist-duplicate",
-         "edgelist-loop-raw-label", "opaque-duplicate", "label-overflow"],
+         "edgelist-loop-raw-label", "opaque-duplicate", "label-overflow",
+         "dimacs-negative-then-valid", "dimacs-negative"],
 )
 def test_parse_error_text_and_line(text, error, message, line):
     with pytest.raises(error) as err:

@@ -12,9 +12,9 @@ from lineal import (
     dfs_any,
     dfs_tree_violation,
     enumerate_dfs_trees,
-    extendable,
-    extendable_all_internal,
-    extendable_all_leaves,
+    extension,
+    extension_all_internal,
+    extension_all_leaves,
     internal_profile,
     is_dfs_tree,
     solve_exact_oracle,
@@ -146,47 +146,48 @@ def test_internal_vertices_examples():
 def test_chain_on_path_tree():
     t = tree(0, {0: None, 1: 0, 2: 1, 3: 2})
     idx = AncestorIndex.build(t)
-    assert idx.is_chain({0, 2, 3})
-    assert idx.is_chain({1})
-    assert idx.is_chain(())
+    assert idx.chain_end({0, 2, 3}) == 3
+    assert idx.chain_end({1}) == 1
+    # an empty set has no deepest vertex
+    assert idx.chain_end(()) is None
 
 
 def test_chain_rejects_siblings():
     idx = AncestorIndex.build(tree(0, {0: None, 1: 0, 2: 0, 3: 0}))
-    assert not idx.is_chain({1, 2})
-    assert idx.is_chain({0, 3})
+    assert idx.chain_end({1, 2}) is None
+    assert idx.chain_end({0, 3}) == 3
 
 
 def test_ancestor_semantics():
     idx = AncestorIndex.build(tree(0, {0: None, 1: 0, 2: 1, 3: 1}))
     assert idx.is_ancestor(0, 3) and idx.is_ancestor(1, 1)
     assert not idx.is_ancestor(2, 3) and not idx.is_ancestor(3, 2)
-    assert idx.deepest({0, 1, 2}) == 2
+    assert idx.chain_end({0, 1, 2}) == 2
 
 
 # ---------------------------------------------------------------------------
 # extendability
 
 def test_extendable_examples():
-    assert extendable(C4, tree(0, {0: None, 1: 0}))
-    assert extendable(STAR3, tree(1, {1: None}))
-    assert extendable(PAW, tree(1, {1: None, 2: 1}))
+    assert extension(C4, tree(0, {0: None, 1: 0})) is not None
+    assert extension(STAR3, tree(1, {1: None})) is not None
+    assert extension(PAW, tree(1, {1: None, 2: 1})) is not None
     # a star over a triangle is not a DFS tree of the induced subgraph
-    assert not extendable(PAW, tree(0, {0: None, 1: 0, 2: 0}))
+    assert extension(PAW, tree(0, {0: None, 1: 0, 2: 0})) is None
 
 
 def test_extendable_all_internal_examples():
-    assert extendable_all_internal(C4, tree(0, {0: None, 1: 0, 2: 1}))
-    assert extendable_all_internal(P4, tree(1, {1: None, 2: 1}))
+    assert extension_all_internal(C4, tree(0, {0: None, 1: 0, 2: 1})) is not None
+    assert extension_all_internal(P4, tree(1, {1: None, 2: 1})) is not None
     # spanning trees cannot gain children for their leaves
-    assert not extendable_all_internal(C4, dfs_any(C4, 0))
+    assert extension_all_internal(C4, dfs_any(C4, 0)) is None
 
 
 def test_extendable_all_leaves_examples():
-    assert extendable_all_leaves(STAR3, tree(0, {0: None}))
-    assert extendable_all_leaves(P4, tree(1, {1: None, 2: 1}))
+    assert extension_all_leaves(STAR3, tree(0, {0: None})) is not None
+    assert extension_all_leaves(P4, tree(1, {1: None, 2: 1})) is not None
     # C4 minus one vertex is not independent
-    assert not extendable_all_leaves(C4, tree(0, {0: None}))
+    assert extension_all_leaves(C4, tree(0, {0: None})) is None
 
 
 # ---------------------------------------------------------------------------
