@@ -28,11 +28,9 @@ from .graphs import (
 from .kernel import (
     Decided,
     KernelOutcome,
-    PendantDeleted,
     ProblemInstance,
     Reduced,
     ReductionTrace,
-    UnlabeledDeleted,
     Variant,
     kernel_dual_max,
     kernel_dual_min,
@@ -59,6 +57,7 @@ from .trees import (
     OracleLimitError,
     RootedSpanningTree,
     dfs_any,
+    dfs_runs,
     dfs_tree_violation,
     enumerate_dfs_trees,
     extension,

@@ -280,6 +280,8 @@ def _decide(args, run) -> int:
 
 
 def cmd_verify(args) -> int:
+    if (args.variant is None) != (args.k is None):
+        raise _UsageError("verify takes --variant and -k together")
     if args.k is not None and args.k < 0:
         raise _UsageError("k must be non-negative")
     loaded = _read_graph(args.graph)
@@ -319,8 +321,6 @@ def cmd_verify(args) -> int:
         report["outcome"] = "yes"
         report["reason"] = "valid DFS tree"
     else:
-        if args.k is None:
-            raise _UsageError("verify with --variant also needs -k")
         lo, hi = Variant(args.variant).internal_bounds(g.vertex_count, args.k)
         report["outcome"] = "yes" if lo <= internal <= hi else "no"
         report["reason"] = (

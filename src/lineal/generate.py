@@ -32,10 +32,6 @@ def star_graph(n: int) -> Graph:
     return Graph(n, [(0, i) for i in range(1, n)])
 
 
-def complete_graph(n: int) -> Graph:
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-
-
 def gnp_graph(n: int, p: float, seed: int) -> Graph:
     """Connected G(n, p); resamples up to a bounded number of times."""
     if not 0.0 <= p <= 1.0:

@@ -68,52 +68,36 @@ class ProblemInstance:
             raise ValueError("k must be non-negative")
 
 
-@dataclass(frozen=True)
-class PendantDeleted:
-    """A pendant neighbor of `kept_under` was removed (two others stayed)."""
-
-    kept_under: int
-    removed: int
-
-
-@dataclass(frozen=True)
-class UnlabeledDeleted:
-    """An outside vertex with two or more cover neighbors missed every label."""
-
-    removed: int
-
-
 @dataclass
 class ReductionTrace:
-    """Audit log of one reduction, in input ids: which cover drove it, what
-    was deleted, and which vertices survived (kernel id i is input id
+    """Audit log of one reduction, in input ids: the cover that drove it, the
+    deleted pendants (by cover vertex, then ascending), the deleted unlabeled
+    vertices (ascending), and the survivors (kernel id i is input id
     ``survivors[i]``)."""
 
     cover: tuple[int, ...]
-    events: tuple[PendantDeleted | UnlabeledDeleted, ...]
+    pendants: tuple[int, ...]
+    unlabeled: tuple[int, ...]
     survivors: tuple[int, ...]
-
-    def removed_vertices(self) -> frozenset[int]:
-        return frozenset(e.removed for e in self.events)
 
     @property
     def pendant_deletions(self) -> int:
-        return sum(1 for e in self.events if isinstance(e, PendantDeleted))
+        return len(self.pendants)
 
     @property
     def unlabeled_deletions(self) -> int:
-        return sum(1 for e in self.events if isinstance(e, UnlabeledDeleted))
+        return len(self.unlabeled)
 
     def lift(self, g: Graph, kernel_tree: RootedSpanningTree) -> RootedSpanningTree:
         """Pull a DFS tree of the kernel back to `g`, the graph this trace reduced.
 
-        Survivors keep their tree shape. Deleted pendants rejoin as leaf
-        children of the cover vertex that kept them; deleted multi-neighbor
-        vertices rejoin as leaves under their deepest neighbor. Both
-        re-attachments leave the internal-vertex count unchanged: a cover
-        vertex that lost pendants still has a pendant child, and a deleted
-        vertex's neighborhood is a chain of internal vertices in any kernel
-        tree.
+        Survivors keep their tree shape. A deleted pendant rejoins as a leaf
+        child of its only neighbor, the cover vertex that kept two others; a
+        deleted unlabeled vertex rejoins as a leaf under its deepest
+        neighbor. Both re-attachments leave the internal-vertex count
+        unchanged: a cover vertex that lost pendants still has a pendant
+        child, and an unlabeled vertex's neighborhood is a chain of internal
+        vertices in any kernel tree.
         """
         orig = self.survivors
         parent: dict[int, int | None] = {
@@ -121,11 +105,11 @@ class ReductionTrace:
         }
         root = orig[kernel_tree.root]
         idx = AncestorIndex.build(RootedSpanningTree(root, parent))  # keeps no reference
-        for ev in self.events:
-            if isinstance(ev, PendantDeleted):
-                parent[ev.removed] = ev.kept_under
-            else:
-                parent[ev.removed] = idx.chain_end(g.adjacency[ev.removed])
+        adj = g.adjacency
+        for v in self.pendants:
+            parent[v] = adj[v][0]
+        for v in self.unlabeled:
+            parent[v] = idx.chain_end(adj[v])
         return RootedSpanningTree(root, parent)
 
 
@@ -150,7 +134,7 @@ def reduce_with_cover(g: Graph, cover) -> tuple[Graph, ReductionTrace]:
     cov = sorted(cover)
     cov_set = frozenset(cov)
     cap = 2 * len(cov)
-    pendants: dict[int, list[int]] = {}
+    pendants_of: dict[int, list[int]] = {}
     # shared[pair] = outside vertices adjacent to both members of the pair, ascending
     shared: dict[tuple[int, int], list[int]] = {}
     multi: list[int] = []
@@ -158,7 +142,7 @@ def reduce_with_cover(g: Graph, cover) -> tuple[Graph, ReductionTrace]:
         if w in cov_set:
             continue
         if len(nbrs) == 1:
-            pendants.setdefault(nbrs[0], []).append(w)
+            pendants_of.setdefault(nbrs[0], []).append(w)
             continue
         cnbrs = [u for u in nbrs if u in cov_set]
         if len(cnbrs) >= 2:
@@ -168,22 +152,19 @@ def reduce_with_cover(g: Graph, cover) -> tuple[Graph, ReductionTrace]:
     labeled: set[int] = set()
     for ws in shared.values():
         labeled.update(ws[:cap])
-    events: list[PendantDeleted | UnlabeledDeleted] = [
-        PendantDeleted(kept_under=v, removed=u) for v in cov for u in pendants.get(v, ())[2:]
-    ]
-    events += [UnlabeledDeleted(removed=w) for w in multi if w not in labeled]
-    reduced, survivors = g.without(e.removed for e in events)
-    return reduced, ReductionTrace(tuple(cov), tuple(events), survivors)
+    pendants = tuple(u for v in cov for u in pendants_of.get(v, ())[2:])
+    unlabeled = tuple(w for w in multi if w not in labeled)
+    reduced, survivors = g.without(pendants + unlabeled)
+    return reduced, ReductionTrace(tuple(cov), pendants, unlabeled, survivors)
 
 
 @dataclass(frozen=True)
 class Decided:
     """The kernelization settled the instance outright.
 
-    ``tree`` is the DFS tree that certified a yes, when the front-end built
-    one (dual-min's first DFS); the pipeline validates it and returns it as
-    the witness instead of running the DFS again. It is provenance only and
-    does not take part in equality.
+    Every yes carries ``tree``, a DFS tree of the input graph that certifies
+    it; the pipeline validates it and returns it as the witness. A no has
+    none. The tree is provenance only and does not take part in equality.
     """
 
     answer: bool
@@ -227,7 +208,7 @@ def kernel_max_llt(inst: ProblemInstance) -> KernelOutcome:
     """Kernelize "at least k leaves"; mirror of kernel_min_llt.
 
     A shifted parameter of 1 or less is an immediate yes for the same
-    one-leaf reason.
+    one-leaf reason, certified by the DFS tree from vertex 0.
     """
     if (trivial := _trivial(inst, Variant.MAX_LLT, _ONE_LEAF)) is not None:
         return trivial
@@ -236,7 +217,7 @@ def kernel_max_llt(inst: ProblemInstance) -> KernelOutcome:
     reduced, trace = reduce_with_cover(g, cover)
     kp = inst.k - (g.vertex_count - reduced.vertex_count)
     if kp <= 1:
-        return Decided(True, "every DFS tree has at least one leaf")
+        return Decided(True, "every DFS tree has at least one leaf", tree=dfs_any(g, 0))
     return Reduced(ProblemInstance(reduced, kp, Variant.MAX_LLT), trace)
 
 
@@ -245,11 +226,14 @@ def kernel_dual_min(inst: ProblemInstance, *, root: int = 0) -> KernelOutcome:
 
     One DFS from `root` either already certifies yes, or its internal
     vertices form a vertex cover of size below k that drives the reduction.
-    The parameter is unchanged.
+    The parameter is unchanged. A root outside the vertex ids of a nonempty
+    graph is a ValueError, whatever the graph and k.
     """
+    g = inst.graph
+    if g.vertex_count and not (0 <= root < g.vertex_count):
+        raise ValueError(f"root {root} out of range")
     if (trivial := _trivial(inst, Variant.DUAL_MIN_LLT, _NO_INTERNAL)) is not None:
         return trivial
-    g = inst.graph
     t = dfs_any(g, root)
     cover = t.internal_vertices()
     if len(cover) >= inst.k:
@@ -291,7 +275,8 @@ def kernelize(inst: ProblemInstance, *, root: int = 0) -> KernelOutcome:
 
 def _trivial(inst: ProblemInstance, variant: Variant, single_reason: str) -> Decided | None:
     """Check the instance's variant, then settle graphs with fewer than two
-    vertices or more than one component; None for every other graph."""
+    vertices or more than one component; None for every other graph. A
+    single vertex's yes carries the one-vertex tree."""
     if inst.variant is not variant:
         raise ValueError(f"expected a {variant.value} instance, got {inst.variant.value}")
     g = inst.graph
@@ -301,5 +286,7 @@ def _trivial(inst: ProblemInstance, variant: Variant, single_reason: str) -> Dec
         return Decided(False, "disconnected graph has no spanning tree")
     if g.vertex_count == 1:
         lo, hi = variant.internal_bounds(1, inst.k)
-        return Decided(lo <= 0 <= hi, single_reason)
+        if lo <= 0 <= hi:
+            return Decided(True, single_reason, tree=RootedSpanningTree(0, {0: None}))
+        return Decided(False, single_reason)
     return None

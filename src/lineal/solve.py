@@ -73,10 +73,9 @@ from .graphs import Graph, greedy_cover, is_connected
 from .kernel import Decided, KernelOutcome, ProblemInstance, Variant, kernelize
 from .trees import (
     ORACLE_LIMIT_DEFAULT,
-    OracleLimitError,
     RootedSpanningTree,
-    _forced_runs,
     dfs_any,
+    dfs_runs,
     extension_all_internal,
     extension_all_leaves,
     is_dfs_tree,
@@ -109,7 +108,7 @@ class SolverBudget:
     time_limit: float = 300.0
 
     def __post_init__(self):
-        if self.max_tuple_count <= 0 or self.time_limit <= 0:
+        if not (self.max_tuple_count > 0 and self.time_limit > 0):  # NaN is not positive
             raise ValueError("budget fields must be positive")
 
 
@@ -391,12 +390,13 @@ def solve_dual_fpt_with_kernel(
     two one DFS of the kernel from vertex 0 goes first (a large hi would
     cost long tuples) and is the witness when it fits. Returns the decision
     together with the kernelization outcome so callers can report reduction
-    statistics. Yes answers carry a witness lifted back to the original
-    graph and validated there; an accepted tuple is reported in original
-    ids. A caller that already holds ``kernelize(inst, root=root)`` passes
-    it as `kernel` instead of having the instance kernelized again. The
-    time limit runs from entry: an answer that kernelization settles after
-    it, or a search with no time left, is a time budget exhausted, and
+    statistics. Yes answers carry a witness validated on the original
+    graph: the kernelization's own tree when it settles the instance, else
+    the kernel's witness lifted back; an accepted tuple is reported in
+    original ids. A caller that already holds ``kernelize(inst, root=root)``
+    passes it as `kernel` instead of having the instance kernelized again.
+    The time limit runs from entry: an answer that kernelization settles
+    after it, or a search with no time left, is a time budget exhausted, and
     carries the kernel outcome like any BudgetExceeded raised on the kernel.
     """
     start = time.perf_counter()
@@ -410,9 +410,7 @@ def solve_dual_fpt_with_kernel(
         if isinstance(outcome, Decided):
             if not outcome.answer:
                 return Decision(False, reason=outcome.reason), outcome
-            # the front-end's certificate when it built one; any DFS tree does otherwise
-            tree = outcome.tree or dfs_any(g, root if variant is Variant.DUAL_MIN_LLT else 0)
-            witness = _checked(g, tree, variant, k)
+            witness = _checked(g, outcome.tree, variant, k)
             return Decision(True, witness=witness, reason=outcome.reason), outcome
         kern, trace = outcome.instance, outcome.trace
         lo, hi = variant.internal_bounds(kern.graph.vertex_count, kern.k)
@@ -457,28 +455,24 @@ def solve_exact_oracle(
     graphs above `limit` vertices (a positive limit), and raising that limit
     does not disable the time budget.
     """
-    if limit <= 0:
-        raise ValueError("oracle limit must be positive")
     budget = budget or SolverBudget()
     g, k = inst.graph, inst.k
+    runs = dfs_runs(g, limit=limit)
     n = g.vertex_count
-    if n > limit:
-        raise OracleLimitError(f"graph has {n} vertices, oracle limit is {limit}")
     if n == 0 or not is_connected(g):
         return Decision(False, reason=_EXHAUSTIVE)
     lo, hi = inst.variant.internal_bounds(n, k)
     deadline = time.perf_counter() + budget.time_limit
-    runs = 0
+    count = 0
     # Walk the raw DFS executions rather than the deduplicated tree stream:
     # duplicate runs rebuild the same tree, so the answer and the first
     # qualifying witness are unchanged, and the time budget can be checked
     # between runs even when duplicates vastly outnumber distinct trees.
-    for root in range(n):
-        for parent, order, internal in _forced_runs(g, root):
-            runs += 1
-            if not (runs & 255) and time.perf_counter() > deadline:
-                raise BudgetExceeded("time")
-            if lo <= internal <= hi:
-                witness = RootedSpanningTree(root, {v: parent[v] for v in order}, tuple(order))
-                return Decision(True, witness=witness, reason=_EXHAUSTIVE)
+    for root, parent, order, internal in runs:
+        count += 1
+        if not (count & 255) and time.perf_counter() > deadline:
+            raise BudgetExceeded("time")
+        if lo <= internal <= hi:
+            witness = RootedSpanningTree(root, {v: parent[v] for v in order}, tuple(order))
+            return Decision(True, witness=witness, reason=_EXHAUSTIVE)
     return Decision(False, reason=_EXHAUSTIVE)

@@ -10,9 +10,10 @@ The tuple-guessing solvers call the last two on each complete tuple.
 
 The exhaustive oracle (`enumerate_dfs_trees`, `internal_profile`, and
 `solve.solve_exact_oracle` outside this module) walks every DFS execution
-from every root through one generator, `_forced_runs`, which yields each
-run with its internal-vertex count. It refuses graphs above a vertex limit,
-ORACLE_LIMIT_DEFAULT unless the caller raises it.
+from every root through `dfs_runs`, which yields each run with its root and
+internal-vertex count. `dfs_runs` holds the one size check: it refuses
+graphs above a vertex limit, ORACLE_LIMIT_DEFAULT unless the caller raises
+it.
 
 Everything in this module is a pure function of immutable inputs; the
 enumeration generators are single-consumer but independent enumerations may
@@ -71,8 +72,8 @@ class RootedSpanningTree:
 class AncestorIndex:
     """Enter/exit timestamps of one tree traversal, giving O(1) ancestor tests.
 
-    ``enter`` and ``exit`` are indexed by vertex: lists when the tree covers
-    exactly the ids ``0 .. len(parent)-1`` (a spanning tree), dicts otherwise.
+    ``enter`` and ``exit`` are lists indexed by vertex, one slot per id up to
+    the largest covered one; only covered vertices' slots mean anything.
     """
 
     __slots__ = ("enter", "exit")
@@ -83,17 +84,17 @@ class AncestorIndex:
 
     @classmethod
     def build(cls, t: RootedSpanningTree) -> "AncestorIndex":
-        """Timestamp every covered vertex; rejects parent maps that are not a single tree."""
+        """Timestamp every covered vertex; rejects parent maps that are not a
+        single tree over non-negative ids."""
         parent = t.parent
         if t.root not in parent or parent[t.root] is not None:
             raise InvalidTreeError("root must be covered with no parent")
+        if (low := min(parent)) < 0:
+            raise InvalidTreeError(f"vertex {low} has a negative id")
         n = len(parent)
-        if min(parent) == 0 and max(parent) == n - 1:  # distinct ids, so exactly 0 .. n-1
-            kids = [[] for _ in range(n)]
-            enter, exit_ = [0] * n, [0] * n
-        else:
-            kids = {v: [] for v in parent}
-            enter, exit_ = {}, {}
+        size = max(parent) + 1
+        kids: list[list[int]] = [[] for _ in range(size)]
+        enter, exit_ = [0] * size, [0] * size
         for v, p in parent.items():
             if p is None:
                 if v != t.root:
@@ -352,15 +353,16 @@ def extension_all_leaves(g: Graph, t: RootedSpanningTree) -> RootedSpanningTree 
 # ---------------------------------------------------------------------------
 # Exhaustive enumeration oracle.
 
-def _forced_runs(g: Graph, root: int):
-    """Every complete DFS execution from `root`, one per discovery order.
+def _forced_runs(g: Graph):
+    """Every complete DFS execution from every root, one per discovery order.
 
-    Yields the live (parent, order, internal) state of each run: `parent`
-    is a list indexed by vertex (None at the root), `order` the discovery
-    order and `internal` the run's number of vertices with a child.
-    Consumers must copy what they keep. Distinct runs can build the same
-    tree, so callers wanting distinct trees must deduplicate; `tuple(parent)`
-    identifies the tree. Nothing is yielded when g is disconnected.
+    Yields the live (root, parent, order, internal) state of each run, roots
+    ascending: `parent` is a list indexed by vertex (None at the root),
+    `order` the discovery order and `internal` the run's number of vertices
+    with a child. Consumers must copy what they keep. Distinct runs can
+    build the same tree, so callers wanting distinct trees must deduplicate;
+    `tuple(parent)` identifies the tree, root included. Nothing is yielded
+    when g is disconnected.
 
     Each step branches over the undiscovered neighbors, ascending, of the
     deepest stack vertex that has any. The DFS stack is always the tree path
@@ -381,38 +383,55 @@ def _forced_runs(g: Graph, root: int):
             nb[v] |= 1 << u
     full = (1 << n) - 1
     parent: list[int | None] = [None] * n
-    order = [root]
-    seen = 1 << root
-    internal = 0
     frames: list[list] = []  # [parent, candidates left, seen before, internal after]
-    while True:
-        if seen == full:
-            yield parent, order, internal
-        else:
-            v = order[-1]
-            while v is not None:
-                left = nb[v] & ~seen
+    for root in range(n):
+        parent[root] = None
+        order = [root]
+        seen = 1 << root
+        internal = 0
+        while True:
+            if seen == full:
+                yield root, parent, order, internal
+            else:
+                v = order[-1]
+                while v is not None:
+                    left = nb[v] & ~seen
+                    if left:
+                        frames.append([v, left, seen, internal + (v == order[-1])])
+                        order.append(v)  # placeholder for the frame's candidate
+                        break
+                    v = parent[v]
+            while frames:
+                frame = frames[-1]
+                left = frame[1]
                 if left:
-                    frames.append([v, left, seen, internal + (v == order[-1])])
-                    order.append(v)  # placeholder for the frame's candidate
+                    low = left & -left
+                    frame[1] = left ^ low
+                    w = low.bit_length() - 1
+                    parent[w] = frame[0]
+                    order[-1] = w
+                    seen = frame[2] | low
+                    internal = frame[3]
                     break
-                v = parent[v]
-        while frames:
-            frame = frames[-1]
-            left = frame[1]
-            if left:
-                low = left & -left
-                frame[1] = left ^ low
-                w = low.bit_length() - 1
-                parent[w] = frame[0]
-                order[-1] = w
-                seen = frame[2] | low
-                internal = frame[3]
+                frames.pop()
+                order.pop()
+            else:
                 break
-            frames.pop()
-            order.pop()
-        else:
-            return
+
+
+def dfs_runs(g: Graph, *, limit: int) -> Iterator[tuple[int, list[int | None], list[int], int]]:
+    """Every complete DFS execution of g from every root, roots ascending.
+
+    Yields the live (root, parent, order, internal) state of each run, which
+    the consumer must copy to keep (see `_forced_runs`). A plain function,
+    so it checks at the call, not on the first step: a non-positive `limit`
+    is a ValueError, and a graph above `limit` vertices an OracleLimitError.
+    """
+    if limit <= 0:
+        raise ValueError("oracle limit must be positive")
+    if g.vertex_count > limit:
+        raise OracleLimitError(f"graph has {g.vertex_count} vertices, oracle limit is {limit}")
+    return _forced_runs(g)
 
 
 def enumerate_dfs_trees(
@@ -424,22 +443,16 @@ def enumerate_dfs_trees(
     different orders can produce identical trees. Refuses graphs larger than
     `limit` vertices rather than running for hours.
     """
-    if g.vertex_count > limit:
-        raise OracleLimitError(
-            f"graph has {g.vertex_count} vertices, oracle limit is {limit}"
-        )
 
-    def gen():
-        for root in range(g.vertex_count):
-            seen: set[tuple[int | None, ...]] = set()
-            for parent, order, _ in _forced_runs(g, root):
-                key = tuple(parent)
-                if key in seen:
-                    continue
+    def distinct(runs):
+        seen: set[tuple[int | None, ...]] = set()
+        for root, parent, order, _ in runs:
+            key = tuple(parent)
+            if key not in seen:
                 seen.add(key)
                 yield RootedSpanningTree(root, {v: parent[v] for v in order}, tuple(order))
 
-    return gen()
+    return distinct(dfs_runs(g, limit=limit))
 
 
 def internal_profile(g: Graph, *, limit: int = ORACLE_LIMIT_DEFAULT) -> frozenset[int]:
@@ -448,10 +461,4 @@ def internal_profile(g: Graph, *, limit: int = ORACLE_LIMIT_DEFAULT) -> frozense
     Ground truth for checking that reductions preserve achievable counts
     exactly. Subject to the same size limit as enumerate_dfs_trees.
     """
-    if g.vertex_count > limit:
-        raise OracleLimitError(
-            f"graph has {g.vertex_count} vertices, oracle limit is {limit}"
-        )
-    return frozenset(
-        internal for root in range(g.vertex_count) for _, _, internal in _forced_runs(g, root)
-    )
+    return frozenset(internal for _, _, _, internal in dfs_runs(g, limit=limit))

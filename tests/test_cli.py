@@ -138,6 +138,16 @@ def test_verify_rejects_a_negative_k(capsys, c4_file, tmp_path, variant):
     assert "k must be non-negative" in err
 
 
+@pytest.mark.parametrize("given", [["-k", "3"], ["--variant", "dual-min"]], ids=["k", "variant"])
+def test_verify_takes_variant_and_k_together(capsys, c4_file, tmp_path, given):
+    witness = tmp_path / "w.json"
+    witness.write_text(json.dumps(witness_to_jsonable(dfs_any(C4, 0), ("0", "1", "2", "3"))))
+    code, out, err = run(capsys, "verify", c4_file, "--witness", str(witness), *given)
+    assert code == 64
+    assert out == ""
+    assert "--variant and -k together" in err
+
+
 def test_oracle_and_limit(capsys, c4_file, monkeypatch):
     code, out, _ = run(capsys, "oracle", c4_file, "--variant", "max-llt", "-k", "2")
     assert code == 1
@@ -333,6 +343,30 @@ def test_nonpositive_budget_flags_are_usage_errors(capsys, star_file, flag, valu
             capsys, "bench", "--variant", "dual-max", "--n-grid", "12", "--k-grid", "1", flag, value
         )
         assert code == 64
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle", "bench"])
+def test_a_nan_time_limit_is_a_usage_error(capsys, star_file, command):
+    if command == "bench":
+        argv = ["bench", "--variant", "dual-max", "--n-grid", "12", "--k-grid", "1"]
+    else:
+        argv = [command, star_file, "--variant", "dual-min", "-k", "2"]
+    code, out, err = run(capsys, *argv, "--time-limit", "nan")
+    assert code == 64
+    assert out == ""
+    assert "positive" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "kernelize"])
+@pytest.mark.parametrize("k", ["0", "1"])
+def test_a_dual_min_root_out_of_range_is_a_usage_error_at_every_k(capsys, tmp_path, command, k):
+    path = tmp_path / "k1.txt"
+    path.write_text(serialize_graph(Graph(1, [])))
+    argv = [command, str(path), "--variant", "dual-min", "-k", k, "--root", "3"]
+    code, out, err = run(capsys, *argv)
+    assert code == 64
+    assert out == ""
+    assert "root 3 out of range" in err
 
 
 def test_only_oracle_takes_an_oracle_limit(capsys, star_file):

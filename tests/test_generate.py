@@ -3,7 +3,6 @@ import pytest
 from lineal import Graph, GenerationError, generate, is_connected
 from lineal.generate import (
     bounded_cover_graph,
-    complete_graph,
     cycle_graph,
     gnp_graph,
     path_graph,
@@ -17,7 +16,6 @@ def test_fixed_families():
     assert star_graph(4) == STAR3
     assert cycle_graph(4) == C4
     assert path_graph(1) == Graph(1, [])
-    assert complete_graph(3).edge_count == 3
     with pytest.raises(GenerationError):
         cycle_graph(2)
     with pytest.raises(GenerationError):

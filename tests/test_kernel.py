@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from lineal import (
     Decided,
     Graph,
-    PendantDeleted,
     ProblemInstance,
     Reduced,
-    UnlabeledDeleted,
     Variant,
+    dfs_any,
     greedy_cover,
     internal_profile,
+    is_dfs_tree,
     kernel_dual_max,
     kernel_dual_min,
     kernel_max_llt,
@@ -41,19 +41,16 @@ def test_trim_pendants_keeps_two_lowest():
     g = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
     reduced, trace = reduce_with_cover(g, {0})
     assert reduced == Graph(3, [(0, 1), (0, 2)])
-    assert trace.events == (
-        PendantDeleted(kept_under=0, removed=3),
-        PendantDeleted(kept_under=0, removed=4),
-    )
+    assert (trace.pendants, trace.unlabeled) == ((3, 4), ())
     assert trace.survivors == (0, 1, 2)
 
 
 def test_trim_pendants_no_op_below_threshold():
     reduced, trace = reduce_with_cover(P3, {1})
-    assert reduced == P3 and trace.events == ()
+    assert reduced == P3 and trace.pendants == trace.unlabeled == ()
     g = Graph(5, [(0, 1), (0, 2), (3, 1), (4, 1)])
     reduced, trace = reduce_with_cover(g, {0, 1})
-    assert reduced == g and trace.events == ()
+    assert reduced == g and trace.pendants == trace.unlabeled == ()
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +60,7 @@ def test_trim_common_neighbors_caps_at_twice_cover():
     # cover {0,1}, seven shared neighbors: keep the 4 lowest, delete 3
     g = Graph(9, [(0, w) for w in range(2, 9)] + [(1, w) for w in range(2, 9)])
     reduced, trace = reduce_with_cover(g, {0, 1})
-    assert sorted(trace.removed_vertices()) == [6, 7, 8]
+    assert (trace.pendants, trace.unlabeled) == ((), (6, 7, 8))
     assert reduced.vertex_count == 6
     assert internal_profile(g) == internal_profile(reduced)
 
@@ -71,7 +68,7 @@ def test_trim_common_neighbors_caps_at_twice_cover():
 def test_trim_common_neighbors_no_op_when_small():
     g = Graph(5, [(0, w) for w in (2, 3, 4)] + [(1, w) for w in (2, 3, 4)])
     reduced, trace = reduce_with_cover(g, {0, 1})
-    assert reduced == g and trace.events == ()
+    assert reduced == g and trace.pendants == trace.unlabeled == ()
 
 
 def test_any_label_keeps_a_vertex():
@@ -84,7 +81,7 @@ def test_any_label_keeps_a_vertex():
     edges += [(0, 9), (1, 9), (2, 9), (0, 10), (1, 10)]
     g = Graph(11, edges)
     reduced, trace = reduce_with_cover(g, {0, 1, 2})
-    assert trace.events == (UnlabeledDeleted(removed=10),)
+    assert (trace.pendants, trace.unlabeled) == ((), (10,))
     assert 9 in trace.survivors
     assert internal_profile(g, limit=11) == internal_profile(reduced, limit=11)
 
@@ -92,24 +89,44 @@ def test_any_label_keeps_a_vertex():
 # ---------------------------------------------------------------------------
 # the combined reduction
 
+# cover {0,1} (s = 2, label quota 4); shared neighbors 2-6 and 10, pendants
+# 7-9 of 0 and 11-13 of 1: rule 2 deletes 6 (below the pendants deleted)
+# and 10 (between them)
+BOTH_RULES = Graph(
+    14,
+    [(c, w) for c in (0, 1) for w in (2, 3, 4, 5, 6, 10)]
+    + [(0, w) for w in (7, 8, 9)]
+    + [(1, w) for w in (11, 12, 13)],
+)
+
+
 def test_both_rules_report_input_ids():
-    # cover {0,1} (s = 2, label quota 4); shared neighbors 2-6 and 10, pendants
-    # 7-9 of 0 and 11-13 of 1: rule 2 deletes 6 (below the pendants deleted)
-    # and 10 (between them)
-    edges = [(c, w) for c in (0, 1) for w in (2, 3, 4, 5, 6, 10)]
-    edges += [(0, w) for w in (7, 8, 9)] + [(1, w) for w in (11, 12, 13)]
-    g = Graph(14, edges)
+    g = BOTH_RULES
     reduced, trace = reduce_with_cover(g, {1, 0})
     assert trace.cover == (0, 1)
-    assert trace.events == (
-        PendantDeleted(kept_under=0, removed=9),
-        PendantDeleted(kept_under=1, removed=13),
-        UnlabeledDeleted(removed=6),
-        UnlabeledDeleted(removed=10),
-    )
+    assert trace.pendants == (9, 13)
+    assert trace.unlabeled == (6, 10)
     assert trace.survivors == (0, 1, 2, 3, 4, 5, 7, 8, 11, 12)
     assert reduced == g.without({6, 9, 10, 13})[0]
     assert (trace.pendant_deletions, trace.unlabeled_deletions) == (2, 2)
+
+
+def test_lift_reattaches_each_deletion_as_a_leaf():
+    g = BOTH_RULES
+    reduced, trace = reduce_with_cover(g, {0, 1})
+    kernel_tree = dfs_any(reduced, 0)
+    lifted = trace.lift(g, kernel_tree)
+    assert is_dfs_tree(g, lifted)
+    assert lifted.internal_count() == kernel_tree.internal_count()
+    parent = lifted.parent
+
+    def depth(v):
+        return 0 if parent[v] is None else 1 + depth(parent[v])
+
+    # pendants go under their only neighbor, unlabeled vertices under the
+    # deeper of their neighbors 0 and 1
+    assert (parent[9], parent[13]) == (0, 1)
+    assert parent[6] == parent[10] == max((0, 1), key=depth)
 
 def test_reduce_star_to_bound():
     reduced, trace = reduce_with_cover(STAR5, {0})
@@ -131,10 +148,11 @@ def test_reduce_preserves_profile_and_bound(g):
     assert internal_profile(reduced) == profile_of(g)
     if cover:
         assert reduced.vertex_count <= size_bound(len(cover))
+    removed = set(trace.pendants + trace.unlabeled)
     # deletions never touch the cover
-    assert not trace.removed_vertices() & cover
+    assert not removed & cover
     # the survivors are the undeleted vertices, one per kernel vertex, ascending
-    assert trace.survivors == tuple(sorted(set(range(g.vertex_count)) - trace.removed_vertices()))
+    assert trace.survivors == tuple(sorted(set(range(g.vertex_count)) - removed))
     assert len(trace.survivors) == reduced.vertex_count
 
 
@@ -146,7 +164,7 @@ def test_reduce_is_idempotent(g):
     kernel_cover = {i for i, v in enumerate(trace.survivors) if v in cover}
     again, trace2 = reduce_with_cover(reduced, kernel_cover)
     assert again == reduced
-    assert trace2.events == ()
+    assert trace2.pendants == trace2.unlabeled == ()
 
 
 def test_post_rule_structure_bounds():
@@ -211,6 +229,15 @@ def test_kernel_dual_min_examples():
     assert kernel_answer(out) is True
 
 
+def test_kernel_dual_min_rejects_a_root_out_of_range():
+    for g in (Graph(1, []), P4, Graph(3, [])):
+        for k in (0, 1):
+            with pytest.raises(ValueError, match="root 4 out of range"):
+                kernel_dual_min(inst(g, k, Variant.DUAL_MIN_LLT), root=4)
+    out = kernel_dual_min(inst(Graph(0, []), 0, Variant.DUAL_MIN_LLT), root=4)
+    assert out == Decided(False, "empty graph has no spanning tree")
+
+
 def test_kernel_dual_max_examples():
     out = kernel_dual_max(inst(P4, 1, Variant.DUAL_MAX_LLT))
     assert isinstance(out, Decided) and not out.answer
@@ -254,6 +281,11 @@ def test_kernel_outcomes_match_oracle(g):
         }
         for variant, out in outs.items():
             assert kernel_answer(out) == truths[variant], (variant, k)
+            if isinstance(out, Decided) and out.answer:
+                # every kernel yes carries a DFS tree of g that certifies it
+                lo, hi = variant.internal_bounds(n, k)
+                assert is_dfs_tree(g, out.tree), (variant, k)
+                assert lo <= out.tree.internal_count() <= hi, (variant, k)
 
 
 def test_reduce_with_minimum_cover_also_preserves_profile():

@@ -428,9 +428,10 @@ def test_oracle_refuses_above_limit():
 
 
 def test_oracle_respects_time_budget():
-    from lineal.generate import complete_graph
+    from itertools import combinations
 
-    g = complete_graph(9)  # plenty of trees before any qualifying count of 9
+    # K9: plenty of trees before any qualifying count of 9
+    g = Graph(9, list(combinations(range(9), 2)))
     with pytest.raises(BudgetExceeded):
         solve_exact_oracle(inst(g, 9, Variant.DUAL_MIN_LLT), SolverBudget(time_limit=1e-9), limit=9)
 

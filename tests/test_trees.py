@@ -10,6 +10,7 @@ from lineal import (
     RootedSpanningTree,
     Variant,
     dfs_any,
+    dfs_runs,
     dfs_tree_violation,
     enumerate_dfs_trees,
     extension,
@@ -71,6 +72,8 @@ def test_is_dfs_tree_errors_on_broken_trees():
     with pytest.raises(InvalidTreeError):
         # two parentless vertices
         AncestorIndex.build(tree(0, {0: None, 1: None}))
+    with pytest.raises(InvalidTreeError, match="negative"):
+        AncestorIndex.build(tree(0, {0: None, -1: 0}))
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +223,30 @@ def test_enumerate_refuses_large_graphs():
         internal_profile(big)
     # the limit is a runtime parameter
     assert len(internal_profile(big, limit=11)) > 0
+
+
+def test_dfs_runs_checks_its_limit_at_once():
+    for limit in (0, -1):
+        for oracle in (dfs_runs, enumerate_dfs_trees, internal_profile):
+            with pytest.raises(ValueError, match="positive"):
+                oracle(P3, limit=limit)
+    with pytest.raises(OracleLimitError, match="graph has 3 vertices, oracle limit is 2"):
+        dfs_runs(P3, limit=2)
+
+
+def test_dfs_runs_walks_every_root_in_the_reference_order():
+    for g in atlas_connected(5) + [Graph(3, [(0, 1)])]:
+        n = g.vertex_count
+        expected = [
+            (root, parent, order, len({p for p in parent.values() if p is not None}))
+            for root in range(n)
+            for parent, order in reference_dfs_runs(g, root)
+        ]
+        got = [
+            (root, {v: parent[v] for v in order}, tuple(order), internal)
+            for root, parent, order, internal in dfs_runs(g, limit=n)
+        ]
+        assert got == expected
 
 
 def test_profile_examples():
