@@ -1,15 +1,16 @@
 """Command-line interface: kernelize, solve, oracle, verify, gen, bench.
 
 `solve` and `bench` run one pipeline for all four variants: kernelize, then
-decide the kernel by the tuple search and lift the witness back. `oracle`
-enumerates the DFS trees of the input graph itself, up to --oracle-limit;
-it runs no tuple search, so it takes --time-limit but not --budget-tuples.
+decide the kernel by the tuple search and lift the witness back; every DFS
+the pipeline runs starts at vertex 0. `oracle` enumerates the DFS trees of
+the input graph itself, up to --oracle-limit vertices; it runs no tuple
+search, so it takes --time-limit but not --budget-tuples.
 
 Machine-readable output (JSON reports, generated graphs, CSV sweeps) goes to
 stdout or --output; diagnostics go to stderr. Exit codes: 0 yes, 1 no,
 2 undecided (budget, `oracle` refusal, or a reduced-but-unsolved instance),
-64 usage error, 65 parse error, 70 internal error (an unexpected exception;
-never read as an answer).
+64 usage error (an unwritable --output included), 65 parse error,
+70 internal error (an unexpected exception; never read as an answer).
 """
 from __future__ import annotations
 
@@ -18,7 +19,6 @@ import csv
 import functools
 import io
 import json
-import os
 import sys
 import time
 import traceback
@@ -63,8 +63,6 @@ EX_USAGE = 64
 EX_PARSE = 65
 EX_INTERNAL = 70
 
-ORACLE_LIMIT_ENV = "LINEAL_ORACLE_LIMIT"
-
 
 class _UsageError(Exception):
     pass
@@ -79,16 +77,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lineal", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_instance_args(p, need_variant=True):
+    def add_instance_args(p):
         p.add_argument("graph", help="graph file (edge list or DIMACS), or '-' for stdin")
-        if need_variant:
-            p.add_argument(
-                "--variant",
-                required=True,
-                choices=[v.value for v in Variant],
-                help="which leaf-count decision problem to address",
-            )
-            p.add_argument("-k", type=int, required=True, help="the parameter k (>= 0)")
+        p.add_argument(
+            "--variant",
+            required=True,
+            choices=[v.value for v in Variant],
+            help="which leaf-count decision problem to address",
+        )
+        p.add_argument("-k", type=int, required=True, help="the parameter k (>= 0)")
 
     def add_budget_args(p):
         p.add_argument("--budget-tuples", type=int, default=None,
@@ -98,7 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernelize", help="reduce an instance, emit kernel graph and report")
     add_instance_args(p)
-    p.add_argument("--root", type=int, default=0, help="DFS root for the dual-min kernel")
     p.add_argument("--format", choices=["edgelist", "dimacs"], default="edgelist")
     p.add_argument("--output", help="write the kernel graph here")
 
@@ -107,14 +103,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_instance_args(p)
     add_budget_args(p)
-    p.add_argument("--root", type=int, default=0, help="DFS root for the dual-min kernel")
 
     p = sub.add_parser("oracle", help="decide by exhaustive DFS-tree enumeration")
     add_instance_args(p)
     p.add_argument("--time-limit", type=float, default=None,
                    help="time limit in seconds for the enumeration")
-    p.add_argument("--oracle-limit", type=int, default=None,
-                   help=f"max vertices for exhaustive enumeration (env {ORACLE_LIMIT_ENV})")
+    p.add_argument("--oracle-limit", type=int, default=ORACLE_LIMIT_DEFAULT,
+                   help="max vertices for exhaustive enumeration")
 
     p = sub.add_parser("verify", help="check a witness tree against a graph and threshold")
     p.add_argument("graph")
@@ -174,9 +169,20 @@ def _read_graph(path: str) -> LoadedGraph:
         raise GraphParseError(f"cannot read {path}: {exc.strerror}") from None
 
 
-def _emit(doc: dict, out=None) -> None:
-    text = json.dumps(doc, indent=2)
-    print(text, file=out or sys.stdout)
+def _emit(doc: dict) -> None:
+    print(json.dumps(doc, indent=2))
+
+
+def _write(text: str, path: str | None) -> None:
+    """Write `text` to `path`, or to stdout without one; a failed write is a usage error."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _kernel_stats(g_before: Graph, outcome) -> dict:
@@ -206,7 +212,7 @@ def cmd_kernelize(args) -> int:
     loaded = _read_graph(args.graph)
     t1 = time.perf_counter()
     inst = ProblemInstance(loaded.graph, args.k, Variant(args.variant))
-    outcome = kernelize(inst, root=args.root)
+    outcome = kernelize(inst)
     t2 = time.perf_counter()
     report = {
         "instance": _instance_desc(args.graph, loaded, args),
@@ -225,23 +231,20 @@ def cmd_kernelize(args) -> int:
         kernel_text = serialize_graph(outcome.instance.graph, fmt=args.format)
         report["kernel"]["graph"] = kernel_text
         if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(kernel_text)
+            _write(kernel_text, args.output)
     _emit(report)
     return _outcome_exit(report["outcome"])
 
 
 def cmd_solve(args) -> int:
-    return _decide(
-        args, lambda inst, budget: solve_dual_fpt_with_kernel(inst, budget, root=args.root)
-    )
+    return _decide(args, solve_dual_fpt_with_kernel)
 
 
 def cmd_oracle(args) -> int:
-    limit = args.oracle_limit
-    if limit is None:
-        limit = int(os.environ.get(ORACLE_LIMIT_ENV) or ORACLE_LIMIT_DEFAULT)
-    return _decide(args, lambda inst, budget: (solve_exact_oracle(inst, budget, limit=limit), None))
+    return _decide(
+        args,
+        lambda inst, budget: (solve_exact_oracle(inst, budget, limit=args.oracle_limit), None),
+    )
 
 
 def _decide(args, run) -> int:
@@ -331,22 +334,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    params = {"n": args.n}
-    if args.family in ("gnp", "bounded_cover"):
-        if args.p is None:
-            raise _UsageError(f"family {args.family} needs --p")
-        params["p"] = args.p
-    if args.family == "bounded_cover":
-        if args.s is None:
-            raise _UsageError("family bounded_cover needs --s")
-        params["s"] = args.s
-    g = generate(args.family, seed=args.seed, **params)
-    text = serialize_graph(g, fmt=args.format)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    g = generate(args.family, seed=args.seed, n=args.n, s=args.s, p=args.p)
+    _write(serialize_graph(g, fmt=args.format), args.output)
     return EX_YES
 
 
@@ -363,12 +352,7 @@ def cmd_bench(args) -> int:
     index = 0
     for n in ns:
         for k in ks:
-            params = {"n": n}
-            if args.family in ("gnp", "bounded_cover"):
-                params["p"] = args.p
-            if args.family == "bounded_cover":
-                params["s"] = min(args.s, n)
-            g = generate(args.family, seed=args.seed + index, **params)
+            g = generate(args.family, seed=args.seed + index, n=n, s=min(args.s, n), p=args.p)
             index += 1
             inst = ProblemInstance(g, k, variant)
             t0 = time.perf_counter()
@@ -391,12 +375,7 @@ def cmd_bench(args) -> int:
                 [n, g.edge_count, variant.value, k, s, kernel_n, bound, answer,
                  _ms(t0, t1), _ms(t1, t2)]
             )
-    text = buf.getvalue()
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(buf.getvalue(), args.output)
     return EX_YES
 
 

@@ -83,16 +83,28 @@ def bounded_cover_graph(n: int, s: int, p: float, seed: int) -> Graph:
 FAMILIES = ("gnp", "path", "cycle", "star", "bounded_cover")
 
 
-def generate(family: str, seed: int = 0, **params) -> Graph:
-    """Dispatch by family name; see FAMILIES."""
+def generate(
+    family: str, seed: int = 0, *, n: int, s: int | None = None, p: float | None = None
+) -> Graph:
+    """Dispatch by family name; see FAMILIES.
+
+    gnp needs p, bounded_cover needs s and p, and a family ignores the
+    parameters it does not use.
+    """
     if family == "gnp":
-        return gnp_graph(params["n"], params["p"], seed)
+        return gnp_graph(n, _needed(family, "p", p), seed)
     if family == "path":
-        return path_graph(params["n"])
+        return path_graph(n)
     if family == "cycle":
-        return cycle_graph(params["n"])
+        return cycle_graph(n)
     if family == "star":
-        return star_graph(params["n"])
+        return star_graph(n)
     if family == "bounded_cover":
-        return bounded_cover_graph(params["n"], params["s"], params["p"], seed)
+        return bounded_cover_graph(n, _needed(family, "s", s), _needed(family, "p", p), seed)
     raise GenerationError(f"unknown family {family!r}; choose one of {FAMILIES}")
+
+
+def _needed(family: str, name: str, value):
+    if value is None:
+        raise GenerationError(f"family {family} needs {name}")
+    return value

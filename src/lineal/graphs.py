@@ -56,12 +56,6 @@ class Graph:
         self.adjacency: tuple[tuple[int, ...], ...] = tuple(map(tuple, map(sorted, neighbors)))
         self.edge_count = edge_count
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def adjacent(self, u: int, v: int) -> bool:
         nu = self.adjacency[u]
         i = bisect_left(nu, v)

@@ -221,25 +221,21 @@ def kernel_max_llt(inst: ProblemInstance) -> KernelOutcome:
     return Reduced(ProblemInstance(reduced, kp, Variant.MAX_LLT), trace)
 
 
-def kernel_dual_min(inst: ProblemInstance, *, root: int = 0) -> KernelOutcome:
+def kernel_dual_min(inst: ProblemInstance) -> KernelOutcome:
     """Kernelize "at least k internal vertices" down to O(k^3) vertices.
 
-    One DFS from `root` either already certifies yes, or its internal
+    One DFS from vertex 0 either already certifies yes, or its internal
     vertices form a vertex cover of size below k that drives the reduction.
-    The parameter is unchanged. A root outside the vertex ids of a nonempty
-    graph is a ValueError, whatever the graph and k.
+    Any root would do: the internal vertices of every DFS tree form a vertex
+    cover. The parameter is unchanged.
     """
-    g = inst.graph
-    if g.vertex_count and not (0 <= root < g.vertex_count):
-        raise ValueError(f"root {root} out of range")
     if (trivial := _trivial(inst, Variant.DUAL_MIN_LLT, _NO_INTERNAL)) is not None:
         return trivial
-    t = dfs_any(g, root)
+    g = inst.graph
+    t = dfs_any(g, 0)
     cover = t.internal_vertices()
     if len(cover) >= inst.k:
-        return Decided(
-            True, f"DFS tree from vertex {root} has {len(cover)} internal vertices", tree=t
-        )
+        return Decided(True, f"DFS tree from vertex 0 has {len(cover)} internal vertices", tree=t)
     reduced, trace = reduce_with_cover(g, cover)
     return Reduced(ProblemInstance(reduced, inst.k, Variant.DUAL_MIN_LLT), trace)
 
@@ -262,14 +258,14 @@ def kernel_dual_max(inst: ProblemInstance) -> KernelOutcome:
     return Reduced(ProblemInstance(reduced, inst.k, Variant.DUAL_MAX_LLT), trace)
 
 
-def kernelize(inst: ProblemInstance, *, root: int = 0) -> KernelOutcome:
+def kernelize(inst: ProblemInstance) -> KernelOutcome:
     """Dispatch to the variant's kernelization."""
     if inst.variant is Variant.MIN_LLT:
         return kernel_min_llt(inst)
     if inst.variant is Variant.MAX_LLT:
         return kernel_max_llt(inst)
     if inst.variant is Variant.DUAL_MIN_LLT:
-        return kernel_dual_min(inst, root=root)
+        return kernel_dual_min(inst)
     return kernel_dual_max(inst)
 
 

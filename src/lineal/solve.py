@@ -379,7 +379,6 @@ def solve_dual_fpt_with_kernel(
     inst: ProblemInstance,
     budget: SolverBudget | None = None,
     *,
-    root: int = 0,
     kernel: KernelOutcome | None = None,
 ) -> tuple[Decision, KernelOutcome]:
     """Kernelize any variant, then decide the kernel and lift its witness.
@@ -393,7 +392,7 @@ def solve_dual_fpt_with_kernel(
     statistics. Yes answers carry a witness validated on the original
     graph: the kernelization's own tree when it settles the instance, else
     the kernel's witness lifted back; an accepted tuple is reported in
-    original ids. A caller that already holds ``kernelize(inst, root=root)``
+    original ids. A caller that already holds ``kernelize(inst)``
     passes it as `kernel` instead of having the instance kernelized again.
     The time limit runs from entry: an answer that kernelization settles
     after it, or a search with no time left, is a time budget exhausted, and
@@ -402,7 +401,7 @@ def solve_dual_fpt_with_kernel(
     start = time.perf_counter()
     budget = budget or SolverBudget()
     g, k, variant = inst.graph, inst.k, inst.variant
-    outcome = kernel if kernel is not None else kernelize(inst, root=root)
+    outcome = kernel if kernel is not None else kernelize(inst)
     try:
         left = budget.time_limit - (time.perf_counter() - start)
         if left <= 0:
@@ -438,11 +437,9 @@ def solve_dual_fpt_with_kernel(
     return Decision(True, witness=lifted, accepted_tuple=tup, reason=reason), outcome
 
 
-def solve_dual_fpt(
-    inst: ProblemInstance, budget: SolverBudget | None = None, *, root: int = 0
-) -> Decision:
+def solve_dual_fpt(inst: ProblemInstance, budget: SolverBudget | None = None) -> Decision:
     """Kernel-then-solve for any variant; the answer matches the original instance."""
-    decision, _ = solve_dual_fpt_with_kernel(inst, budget, root=root)
+    decision, _ = solve_dual_fpt_with_kernel(inst, budget)
     return decision
 
 

@@ -70,7 +70,11 @@ class RootedSpanningTree:
 
 
 class AncestorIndex:
-    """Enter/exit timestamps of one tree traversal, giving O(1) ancestor tests.
+    """Enter/exit timestamps of one tree traversal.
+
+    A vertex is an ancestor of another exactly when it is entered no later
+    and left no earlier, so sorting by ``enter`` and comparing ``exit``
+    tells whether a set of vertices lies on one root-to-leaf path.
 
     ``enter`` and ``exit`` are lists indexed by vertex, one slot per id up to
     the largest covered one; only covered vertices' slots mean anything.
@@ -120,10 +124,6 @@ class AncestorIndex:
         if clock != 2 * n:  # each reached vertex is entered and left once
             raise InvalidTreeError("parent links contain a cycle or a second component")
         return cls(enter, exit_)
-
-    def is_ancestor(self, u: int, v: int) -> bool:
-        """True iff u is an ancestor of v; every vertex is its own ancestor."""
-        return self.enter[u] <= self.enter[v] and self.exit[v] <= self.exit[u]
 
     def chain_end(self, vertices: Iterable[int]) -> int | None:
         """The deepest of the vertices when they lie on one root-to-leaf path, else None.

@@ -148,11 +148,11 @@ def test_verify_takes_variant_and_k_together(capsys, c4_file, tmp_path, given):
     assert "--variant and -k together" in err
 
 
-def test_oracle_and_limit(capsys, c4_file, monkeypatch):
-    code, out, _ = run(capsys, "oracle", c4_file, "--variant", "max-llt", "-k", "2")
+def test_oracle_and_limit(capsys, c4_file):
+    argv = ["oracle", c4_file, "--variant", "max-llt", "-k", "2"]
+    code, out, _ = run(capsys, *argv)
     assert code == 1
-    monkeypatch.setenv("LINEAL_ORACLE_LIMIT", "3")
-    code, out, _ = run(capsys, "oracle", c4_file, "--variant", "max-llt", "-k", "2")
+    code, out, _ = run(capsys, *argv, "--oracle-limit", "3")
     assert code == 2
     assert report_of(out)["outcome"] == "undecided"
 
@@ -272,6 +272,24 @@ def test_usage_errors(capsys, c4_file):
     assert run(capsys, "frobnicate")[0] == 64
     assert run(capsys, "gen", "--family", "gnp", "--n", "5")[0] == 64
     assert run(capsys, "gen", "--family", "gnp", "--n", "5", "--p", "0.0")[0] == 64
+    for command in ("solve", "kernelize"):  # every DFS starts at vertex 0
+        argv = [command, c4_file, "--variant", "dual-min", "-k", "3", "--root", "0"]
+        assert run(capsys, *argv)[0] == 64
+
+
+def test_an_unwritable_output_is_a_usage_error(capsys, tmp_path):
+    graph = tmp_path / "bc40.txt"
+    graph.write_text(serialize_graph(generate("bounded_cover", seed=0, n=40, s=4, p=0.3)))
+    target = str(tmp_path / "missing" / "x")
+    for argv in (
+        ["gen", "--family", "path", "--n", "3"],
+        ["kernelize", str(graph), "--variant", "dual-max", "-k", "4"],
+        ["bench", "--variant", "dual-max", "--n-grid", "12", "--k-grid", "1"],
+    ):
+        code, out, err = run(capsys, *argv, "--output", target)
+        assert code == 64
+        assert out == ""
+        assert f"cannot write {target}" in err and "internal error" not in err
 
 
 def test_one_parser_serves_a_sequence_of_calls(capsys, monkeypatch, star_file):
@@ -284,7 +302,6 @@ def test_one_parser_serves_a_sequence_of_calls(capsys, monkeypatch, star_file):
     sequence = [
         ["solve", star_file, "--variant", "dual-min"],  # usage error: no -k
         ["solve", "--help"],
-        ["solve", *instance, "--root", "3"],
         ["solve", *instance],
         ["oracle", *instance, "--oracle-limit", "5"],
         ["oracle", *instance],
@@ -302,8 +319,7 @@ def test_one_parser_serves_a_sequence_of_calls(capsys, monkeypatch, star_file):
         cli._parser.cache_clear()
         fresh.append(outputs(argv))
     # a flag given to one call must not leak into the next
-    assert fresh[2][1]["witness"]["root"] == "3" != fresh[3][1]["witness"]["root"]
-    assert (fresh[4][0], fresh[5][0]) == (2, 0)
+    assert (fresh[3][0], fresh[4][0]) == (2, 0)
     cli._parser.cache_clear()
     builds.clear()
     assert [outputs(argv) for argv in sequence] == fresh
@@ -355,18 +371,6 @@ def test_a_nan_time_limit_is_a_usage_error(capsys, star_file, command):
     assert code == 64
     assert out == ""
     assert "positive" in err
-
-
-@pytest.mark.parametrize("command", ["solve", "kernelize"])
-@pytest.mark.parametrize("k", ["0", "1"])
-def test_a_dual_min_root_out_of_range_is_a_usage_error_at_every_k(capsys, tmp_path, command, k):
-    path = tmp_path / "k1.txt"
-    path.write_text(serialize_graph(Graph(1, [])))
-    argv = [command, str(path), "--variant", "dual-min", "-k", k, "--root", "3"]
-    code, out, err = run(capsys, *argv)
-    assert code == 64
-    assert out == ""
-    assert "root 3 out of range" in err
 
 
 def test_only_oracle_takes_an_oracle_limit(capsys, star_file):
@@ -507,15 +511,13 @@ def test_kernel_decided_yes_reuses_the_certificate_tree(capsys, monkeypatch, tmp
 
     monkeypatch.setattr(kernel, "dfs_any", counted)
     monkeypatch.setattr(solve, "dfs_any", counted)
-    code, out, _ = run(
-        capsys, "solve", str(path), "--variant", "dual-min", "-k", "3", "--root", "3"
-    )
+    code, out, _ = run(capsys, "solve", str(path), "--variant", "dual-min", "-k", "3")
     assert code == 0
     rep = report_of(out)
-    assert rep["reason"] == "DFS tree from vertex 3 has 6 internal vertices"
+    assert rep["reason"] == "DFS tree from vertex 0 has 7 internal vertices"
     assert len(calls) == 1
     labels = tuple(str(i) for i in range(8))
-    assert rep["witness"] == witness_to_jsonable(dfs_any(g, 3), labels)
+    assert rep["witness"] == witness_to_jsonable(dfs_any(g, 0), labels)
 
 
 @st.composite

@@ -27,6 +27,14 @@ def test_generate_dispatch():
     assert generate("cycle", n=4) == C4
     with pytest.raises(GenerationError):
         generate("mystery", n=3)
+    with pytest.raises(GenerationError, match="family gnp needs p"):
+        generate("gnp", n=5)
+    with pytest.raises(GenerationError, match="family bounded_cover needs s"):
+        generate("bounded_cover", n=5, p=0.3)
+    with pytest.raises(GenerationError, match="family bounded_cover needs p"):
+        generate("bounded_cover", n=5, s=2)
+    # a family ignores the parameters it does not use
+    assert generate("path", n=3, s=2, p=0.5) == path_graph(3)
 
 
 def test_gnp_connected_and_deterministic():
@@ -53,7 +61,7 @@ def test_bounded_cover_plants_a_cover():
             assert u < 3 or v < 3
         # every outside vertex is wired to the cover
         for w in range(3, 20):
-            assert g.degree(w) >= 1
+            assert g.adjacency[w]
 
 
 def test_bounded_cover_deterministic():

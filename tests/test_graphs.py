@@ -35,8 +35,7 @@ def test_graph_rejects_bad_edges():
 
 def test_graph_basics():
     g = Graph(4, [(2, 0), (0, 1)])
-    assert g.neighbors(0) == (1, 2)
-    assert g.degree(0) == 2 and g.degree(3) == 0
+    assert g.adjacency[0] == (1, 2) and g.adjacency[3] == ()
     assert g.adjacent(0, 2) and not g.adjacent(1, 2)
     assert list(g.edges()) == [(0, 1), (0, 2)]
     assert g == Graph(4, [(0, 1), (0, 2)])

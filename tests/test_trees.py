@@ -163,8 +163,9 @@ def test_chain_rejects_siblings():
 
 def test_ancestor_semantics():
     idx = AncestorIndex.build(tree(0, {0: None, 1: 0, 2: 1, 3: 1}))
-    assert idx.is_ancestor(0, 3) and idx.is_ancestor(1, 1)
-    assert not idx.is_ancestor(2, 3) and not idx.is_ancestor(3, 2)
+    assert idx.chain_end({0, 3}) == 3
+    assert idx.chain_end({2, 3}) is None
+    assert idx.chain_end({1}) == 1
     assert idx.chain_end({0, 1, 2}) == 2
 
 
