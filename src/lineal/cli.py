@@ -7,7 +7,8 @@ the input graph itself, up to --oracle-limit vertices; it runs no tuple
 search, so it takes --time-limit but not --budget-tuples.
 
 Machine-readable output (JSON reports, generated graphs, CSV sweeps) goes to
-stdout or --output; diagnostics go to stderr. Exit codes: 0 yes, 1 no,
+stdout or --output; diagnostics go to stderr. `kernelize`, `solve`, `oracle`
+and `verify` each print their JSON report as one line. Exit codes: 0 yes, 1 no,
 2 undecided (budget, `oracle` refusal, or a reduced-but-unsolved instance),
 64 usage error (an unwritable --output included), 65 parse error,
 70 internal error (an unexpected exception; never read as an answer).
@@ -170,7 +171,7 @@ def _read_graph(path: str) -> LoadedGraph:
 
 
 def _emit(doc: dict) -> None:
-    print(json.dumps(doc, indent=2))
+    print(json.dumps(doc))
 
 
 def _write(text: str, path: str | None) -> None:

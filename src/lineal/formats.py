@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 from .graphs import Graph
 from .trees import RootedSpanningTree
@@ -63,12 +64,12 @@ def parse_graph(text: str) -> LoadedGraph:
 
 def _parse_edgelist(lines: list[str]) -> LoadedGraph:
     n = m = -1
-    raw_edges: list[tuple[str, str, int]] = []
+    pairs: list[list[str]] = []  # each edge as its two written labels
+    rows: list[int] = []  # the line of each edge
     for lineno, raw in enumerate(lines, 1):
-        s = raw.strip()
-        if not s or s.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
             continue
-        parts = s.split()
         if n < 0:
             if len(parts) != 2:
                 raise MalformedLineError("expected header '<vertices> <edges>'", lineno)
@@ -81,37 +82,30 @@ def _parse_edgelist(lines: list[str]) -> LoadedGraph:
             continue
         if len(parts) != 2:
             raise MalformedLineError("expected an edge as two labels", lineno)
-        if len(raw_edges) == m:
+        if len(pairs) == m:
             raise MalformedLineError(f"more than the declared {m} edges", lineno)
-        raw_edges.append((parts[0], parts[1], lineno))
+        pairs.append(parts)
+        rows.append(lineno)
     if n < 0:
         raise MalformedLineError("missing header line")
-    if len(raw_edges) != m:
-        raise MalformedLineError(f"declared {m} edges but found {len(raw_edges)}")
-    return _assemble(n, raw_edges)
+    if len(pairs) != m:
+        raise MalformedLineError(f"declared {m} edges but found {len(pairs)}")
+    return _assemble(n, pairs, rows)
 
 
 def _parse_dimacs(lines: list[str]) -> LoadedGraph:
+    """Edge lines are tested first, as most lines are edges. A comment is a
+    line whose first token starts with '#', or whose first token is a bare
+    'c' that ends the line or is followed by a space."""
     n = m = -1
-    edges: list[tuple[int, int, int]] = []
+    edges: list[tuple[int, int]] = []
+    rows: list[int] = []  # the line of each edge
     for lineno, raw in enumerate(lines, 1):
-        s = raw.strip()
-        if not s or s.startswith("#") or s == "c" or s.startswith("c "):
+        parts = raw.split()
+        if not parts:
             continue
-        parts = s.split()
-        if parts[0] == "p":
-            if n >= 0:
-                raise MalformedLineError("second problem line", lineno)
-            if len(parts) != 4 or parts[1] != "edge":
-                raise MalformedLineError("expected 'p edge <vertices> <edges>'", lineno)
-            try:
-                n, m = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise MalformedLineError("problem line fields must be integers", lineno) from None
-            if n < 0 or m < 0:
-                raise MalformedLineError("problem line fields must be non-negative", lineno)
-            continue
-        if parts[0] == "e":
+        kind = parts[0]
+        if kind == "e":
             if n < 0:
                 raise MalformedLineError("edge before the problem line", lineno)
             if len(parts) != 3:
@@ -124,38 +118,50 @@ def _parse_dimacs(lines: list[str]) -> LoadedGraph:
                 raise MalformedLineError("edge endpoints must be integers", lineno) from None
             if not (1 <= u <= n and 1 <= v <= n):
                 raise MalformedLineError(f"endpoint out of range 1..{n}", lineno)
-            edges.append((u - 1, v - 1, lineno))
+            edges.append((u - 1, v - 1))
+            rows.append(lineno)
+        elif kind[0] == "#" or (kind == "c" and (len(parts) == 1 or raw.lstrip()[1] == " ")):
             continue
-        raise MalformedLineError(f"unknown line type {parts[0]!r}", lineno)
+        elif kind == "p":
+            if n >= 0:
+                raise MalformedLineError("second problem line", lineno)
+            if len(parts) != 4 or parts[1] != "edge":
+                raise MalformedLineError("expected 'p edge <vertices> <edges>'", lineno)
+            try:
+                n, m = int(parts[2]), int(parts[3])
+            except ValueError:
+                raise MalformedLineError("problem line fields must be integers", lineno) from None
+            if n < 0 or m < 0:
+                raise MalformedLineError("problem line fields must be non-negative", lineno)
+        else:
+            raise MalformedLineError(f"unknown line type {kind!r}", lineno)
     if n < 0:
         raise MalformedLineError("missing problem line")
     if len(edges) != m:
         raise MalformedLineError(f"declared {m} edges but found {len(edges)}")
-    return _build(tuple(map(str, range(1, n + 1))), edges)
+    return _build(tuple(map(str, range(1, n + 1))), edges, rows)
 
 
-def _assemble(n: int, raw_edges: list[tuple[str, str, int]]) -> LoadedGraph:
-    ids: dict[str, int] = {}  # distinct labels in order of first appearance
-    for a, b, _ in raw_edges:
-        ids.setdefault(a, len(ids))
-        ids.setdefault(b, len(ids))
+def _assemble(n: int, pairs: list[list[str]], rows: list[int]) -> LoadedGraph:
+    ids = dict.fromkeys(chain.from_iterable(pairs))  # distinct labels, first appearance first
     if all(_as_id(lab, n) is not None for lab in ids):
         ids, labels = {lab: int(lab) for lab in ids}, tuple(map(str, range(n)))
     else:
         if len(ids) > n:
             extra = list(ids)[n]
-            lineno = next(ln for a, b, ln in raw_edges if extra in (a, b))
+            lineno = next(ln for pair, ln in zip(pairs, rows) if extra in pair)
             raise LabelOverflowError(
                 f"label {extra!r} brings the distinct labels to {n + 1}, "
                 f"but only {n} vertices are declared",
                 lineno,
             )
+        ids = dict(zip(ids, range(len(ids))))
         i = 0
         while len(ids) < n:  # fill up with the lowest numerals not already taken
             ids.setdefault(str(i), len(ids))
             i += 1
         labels = tuple(ids)
-    return _build(labels, [(ids[a], ids[b], ln) for a, b, ln in raw_edges], raw_edges)
+    return _build(labels, [(ids[a], ids[b]) for a, b in pairs], rows, pairs)
 
 
 def _as_id(label: str, n: int) -> int | None:
@@ -166,22 +172,23 @@ def _as_id(label: str, n: int) -> int | None:
     return value if 0 <= value < n else None
 
 
-def _build(labels, edges, written=None) -> LoadedGraph:
-    """Check `edges`, (u, v, line) triples over dense ids, and adopt them as a graph.
+def _build(labels, edges, rows, written=None) -> LoadedGraph:
+    """Check `edges`, (u, v) pairs over dense ids written on lines `rows`, and
+    adopt them as a graph.
 
     This is the only check of the parsed edges: the graph is built through
     the private constructor. Error text names an endpoint as it was written,
-    from `written` (the same edges as (label, label, line)) when given, else
-    by its label.
+    from `written` (the same edges as label pairs) when given, else by its
+    label.
     """
     neighbors: list[set[int]] = [set() for _ in labels]
-    for i, (u, v, lineno) in enumerate(edges):
+    for i, (u, v) in enumerate(edges):
         nu = neighbors[u]
         if u == v or v in nu:
-            a, b = written[i][:2] if written else (labels[u], labels[v])
+            a, b = written[i] if written else (labels[u], labels[v])
             if u == v:
-                raise SelfLoopError(f"self-loop at {a!r}", lineno)
-            raise DuplicateEdgeError(f"duplicate edge {a!r} {b!r}", lineno)
+                raise SelfLoopError(f"self-loop at {a!r}", rows[i])
+            raise DuplicateEdgeError(f"duplicate edge {a!r} {b!r}", rows[i])
         nu.add(v)
         neighbors[v].add(u)
     return LoadedGraph(Graph._adopt(neighbors, len(edges)), labels)
@@ -204,11 +211,12 @@ def serialize_graph(g: Graph, labels: tuple[str, ...] | None = None, fmt: str = 
 
 def witness_to_jsonable(t: RootedSpanningTree, labels: tuple[str, ...]) -> dict:
     """Witness exchange form: root plus a parent array in original labels."""
+    parent = t.parent
     return {
         "root": labels[t.root],
         "parents": {
-            labels[v]: (None if p is None else labels[p])
-            for v, p in sorted(t.parent.items())
+            labels[v]: (None if (p := parent[v]) is None else labels[p])
+            for v in sorted(parent)
         },
     }
 

@@ -121,7 +121,8 @@ def size_bound(s: int) -> int:
 def reduce_with_cover(g: Graph, cover) -> tuple[Graph, ReductionTrace]:
     """Run both trimming rules; the result has at most s^2(s-1)+3s vertices.
 
-    Requires g connected and `cover` a vertex cover of g. The achievable
+    Requires g connected and `cover` a vertex cover of g, so every
+    neighbour of a vertex outside the cover is in it. The achievable
     internal-vertex counts of DFS trees are preserved exactly. Rule 1 keeps
     the two lowest-id pendants of each cover vertex. Rule 2 gives, for each
     unordered cover pair, a label to the min(|shared|, 2s) lowest-id shared
@@ -144,10 +145,9 @@ def reduce_with_cover(g: Graph, cover) -> tuple[Graph, ReductionTrace]:
         if len(nbrs) == 1:
             pendants_of.setdefault(nbrs[0], []).append(w)
             continue
-        cnbrs = [u for u in nbrs if u in cov_set]
-        if len(cnbrs) >= 2:
+        if len(nbrs) >= 2:
             multi.append(w)
-            for pair in combinations(cnbrs, 2):
+            for pair in combinations(nbrs, 2):  # nbrs all lie in the cover
                 shared.setdefault(pair, []).append(w)
     labeled: set[int] = set()
     for ws in shared.values():

@@ -178,9 +178,8 @@ def is_dfs_tree(g: Graph, t: RootedSpanningTree) -> bool:
 
     Raises InvalidTreeError when t does not span g or is not a tree of g.
     """
-    if len(t.parent) != g.vertex_count or any(
-        not (0 <= v < g.vertex_count) for v in t.parent
-    ):
+    n = g.vertex_count
+    if len(t.parent) != n or t.parent and (min(t.parent) < 0 or max(t.parent) >= n):
         raise InvalidTreeError("tree does not span the graph")
     return dfs_tree_violation(g, t) is None
 

@@ -345,6 +345,21 @@ def test_report_determinism_modulo_timings(capsys, c4_file):
     assert r1 == r2
 
 
+def test_every_report_is_one_line(capsys, c4_file, star_file, tmp_path):
+    witness = tmp_path / "w.json"
+    witness.write_text(json.dumps(witness_to_jsonable(dfs_any(C4, 0), ("0", "1", "2", "3"))))
+    for argv in (
+        ["solve", c4_file, "--variant", "dual-min", "-k", "3"],
+        ["oracle", c4_file, "--variant", "dual-max", "-k", "2"],
+        ["kernelize", star_file, "--variant", "dual-min", "-k", "2"],  # holds the kernel text
+        ["verify", c4_file, "--witness", str(witness)],
+    ):
+        _, out, _ = run(capsys, *argv)
+        line, newline, rest = out.partition("\n")
+        assert newline and not rest, argv
+        assert json.loads(line) == json.loads(out), argv
+
+
 @pytest.mark.parametrize("flag", ["--time-limit", "--budget-tuples", "--oracle-limit"])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_nonpositive_budget_flags_are_usage_errors(capsys, star_file, flag, value):

@@ -27,9 +27,13 @@ def test_parse_edgelist_p3():
 
 
 def test_parse_dimacs_k3():
-    loaded = parse_graph("c a triangle\np edge 3 3\ne 1 2\ne 2 3\ne 1 3\n")
-    assert loaded.graph == K3
-    assert loaded.labels == ("1", "2", "3")
+    for text in (
+        "c a triangle\np edge 3 3\ne 1 2\ne 2 3\ne 1 3\n",
+        "  c x\np edge 3 3\n\t# x\ne\t1\t2\ne 2 3\nc\ne 1 3\n",
+    ):
+        loaded = parse_graph(text)
+        assert loaded.graph == K3
+        assert loaded.labels == ("1", "2", "3")
 
 
 def test_parse_header_only_single_vertex():
@@ -46,6 +50,7 @@ def test_parse_opaque_labels():
 def test_parse_comments_and_blanks_ignored():
     loaded = parse_graph("# a path\n\n3 2\n0 1\n# middle\n1 2\n")
     assert loaded.graph == P3
+    assert parse_graph("3 2\n # indented\n0 1\n1 2\n").graph == P3
 
 
 def test_parse_errors_are_distinct_and_carry_lines():
@@ -89,10 +94,13 @@ def test_parse_errors_are_distinct_and_carry_lines():
             1,
         ),
         ("p edge -2 -1\n", MalformedLineError, "problem line fields must be non-negative", 1),
+        ("p edge 2 1\nc\tx\ne 1 2\n", MalformedLineError, "unknown line type 'c'", 2),
+        ("p edge 2 1\ncx\ne 1 2\n", MalformedLineError, "unknown line type 'cx'", 2),
     ],
     ids=["dimacs-loop", "dimacs-reversed-duplicate", "edgelist-duplicate",
          "edgelist-loop-raw-label", "opaque-duplicate", "label-overflow",
-         "dimacs-negative-then-valid", "dimacs-negative"],
+         "dimacs-negative-then-valid", "dimacs-negative", "dimacs-c-then-tab",
+         "dimacs-c-glued"],
 )
 def test_parse_error_text_and_line(text, error, message, line):
     with pytest.raises(error) as err:
