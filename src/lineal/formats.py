@@ -48,15 +48,17 @@ class LoadedGraph:
 
 
 def parse_graph(text: str) -> LoadedGraph:
-    """Parse an edge-list or DIMACS document (detected by its first data line)."""
+    """Parse an edge-list or DIMACS document.
+
+    The first data line decides, by the line rules of `_parse_dimacs`: a
+    first token 'p' (the problem line) or a DIMACS comment means DIMACS.
+    """
     lines = text.splitlines()
     for raw in lines:
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
             continue
-        if stripped.startswith("c ") or stripped == "c":
-            return _parse_dimacs(lines)
-        if stripped.startswith("p "):
+        if parts[0] == "p" or _is_dimacs_comment(raw, parts):
             return _parse_dimacs(lines)
         return _parse_edgelist(lines)
     raise MalformedLineError("empty document")
@@ -120,7 +122,7 @@ def _parse_dimacs(lines: list[str]) -> LoadedGraph:
                 raise MalformedLineError(f"endpoint out of range 1..{n}", lineno)
             edges.append((u - 1, v - 1))
             rows.append(lineno)
-        elif kind[0] == "#" or (kind == "c" and (len(parts) == 1 or raw.lstrip()[1] == " ")):
+        elif kind[0] == "#" or _is_dimacs_comment(raw, parts):
             continue
         elif kind == "p":
             if n >= 0:
@@ -140,6 +142,12 @@ def _parse_dimacs(lines: list[str]) -> LoadedGraph:
     if len(edges) != m:
         raise MalformedLineError(f"declared {m} edges but found {len(edges)}")
     return _build(tuple(map(str, range(1, n + 1))), edges, rows)
+
+
+def _is_dimacs_comment(raw: str, parts: list[str]) -> bool:
+    """Is `raw`, split into `parts`, a 'c' comment: a bare 'c' that ends the
+    line or is followed by a space?"""
+    return parts[0] == "c" and (len(parts) == 1 or raw.lstrip()[1] == " ")
 
 
 def _assemble(n: int, pairs: list[list[str]], rows: list[int]) -> LoadedGraph:

@@ -244,18 +244,24 @@ def kernel_dual_max(inst: ProblemInstance) -> KernelOutcome:
     """Kernelize "at most k internal vertices" down to O(k^3) vertices.
 
     A greedy maximal matching larger than k certifies the cover number
-    exceeds k, so no DFS tree can stay within k internal vertices.
-    Otherwise its endpoints (at most 2k) drive the reduction; the parameter
-    is unchanged.
+    exceeds k, so no DFS tree can stay within k internal vertices. So do
+    more than k vertices of degree above k (the high-degree rule): a leaf's
+    neighbors are all its ancestors, which are internal, so such a vertex
+    is a leaf only in a tree with more than k internal vertices. Otherwise
+    the matching's endpoints (at most 2k) drive the reduction; the
+    parameter is unchanged.
     """
     if (trivial := _trivial(inst, Variant.DUAL_MAX_LLT, _NO_INTERNAL)) is not None:
         return trivial
-    g = inst.graph
+    g, k = inst.graph, inst.k
     matching, cover = greedy_cover(g)
-    if len(matching) > inst.k:
+    if len(matching) > k:
         return Decided(False, f"maximal matching of size {len(matching)} exceeds k")
+    high = sum(d > k for d in map(len, g.adjacency))
+    if high > k:
+        return Decided(False, f"{high} vertices of degree above k must all be internal")
     reduced, trace = reduce_with_cover(g, cover)
-    return Reduced(ProblemInstance(reduced, inst.k, Variant.DUAL_MAX_LLT), trace)
+    return Reduced(ProblemInstance(reduced, k, Variant.DUAL_MAX_LLT), trace)
 
 
 def kernelize(inst: ProblemInstance) -> KernelOutcome:

@@ -55,9 +55,12 @@ first accepting tuple is unchanged:
 * Degree bound (dual-max). A leaf's neighbors are all its ancestors, which
   are internal, so in a tree with at most k internal vertices every vertex
   of degree above k is internal and must be in the tuple. More than k such
-  vertices is a no; a prefix is dropped when fewer tuple slots are left
-  than such vertices outside it, or when one of them is shut or has a shut
-  neighbor and so can never be added.
+  vertices in the whole graph is a no that the dual-max kernel front-end
+  already returns, before any reduction; the search keeps the check per
+  prefix. A prefix is dropped when fewer tuple slots are left than such
+  vertices outside it, or when one of them is shut or has a shut neighbor
+  and so can never be added. With more than k of them every root is
+  dropped before it counts as a visit.
 
 Tuple prefixes could be partitioned across workers; the implementation is
 sequential and reports the lexicographically first accepting tuple, which is
@@ -223,8 +226,6 @@ def _tuple_search(g: Graph, k: int, variant: Variant, budget: SolverBudget):
     linked = 0  # non-root prefix vertices of cov under a prefix parent in cov
     # dual-max: the vertices of degree above k, all of them internal
     high = [v for v in range(n) if len(g.adjacency[v]) > k] if cover else []
-    if len(high) > k:
-        return None
     in_high = sum(1 << v for v in high)
 
     parent: dict[int, int | None] = {}

@@ -31,6 +31,7 @@ K3 = Graph(3, [(0, 1), (1, 2), (0, 2)])
 STAR3 = Graph(4, [(0, 1), (0, 2), (0, 3)])  # K_{1,3}, center 0
 STAR5 = Graph(6, [(0, i) for i in range(1, 6)])  # K_{1,5}, center 0
 PAW = Graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)])  # triangle plus pendant on 0
+NET = Graph(6, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5)])  # triangle, a pendant on each corner
 
 
 # ---------------------------------------------------------------------------

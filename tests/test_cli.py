@@ -64,6 +64,18 @@ def test_kernelize_decided_no(capsys, p4_file):
     assert "matching" in rep["reason"]
 
 
+def test_dual_max_high_degree_rule_answers_no(capsys, tmp_path):
+    # the net: a 2-edge matching, but 3 vertices of degree 3 > k = 2
+    net = tmp_path / "net.txt"
+    net.write_text("6 6\n0 1\n0 2\n1 2\n0 3\n1 4\n2 5\n")
+    reason = "3 vertices of degree above k must all be internal"
+    for command in ("kernelize", "solve"):
+        code, out, _ = run(capsys, command, str(net), "--variant", "dual-max", "-k", "2")
+        assert code == 1
+        rep = report_of(out)
+        assert (rep["outcome"], rep["reason"]) == ("no", reason)
+
+
 def test_kernelize_reduced_writes_kernel(capsys, tmp_path):
     star = tmp_path / "star.txt"
     star.write_text("6 5\n0 1\n0 2\n0 3\n0 4\n0 5\n")
@@ -445,7 +457,7 @@ def test_unexpected_exception_exits_internal(capsys, c4_file, monkeypatch):
     assert err.startswith("internal error: RecursionError")
 
 
-@pytest.mark.parametrize("variant, ks", [("dual-min", "4,6,8"), ("dual-max", "1,2,3")])
+@pytest.mark.parametrize("variant, ks", [("dual-min", "4,6,8"), ("dual-max", "2,3,4")])
 def test_bench_kernelizes_once_per_cell(capsys, monkeypatch, variant, ks):
     import lineal.kernel as kernel
 

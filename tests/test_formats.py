@@ -30,6 +30,7 @@ def test_parse_dimacs_k3():
     for text in (
         "c a triangle\np edge 3 3\ne 1 2\ne 2 3\ne 1 3\n",
         "  c x\np edge 3 3\n\t# x\ne\t1\t2\ne 2 3\nc\ne 1 3\n",
+        "p\tedge 3 3\ne 1 2\ne 2 3\ne 1 3\n",  # any whitespace after 'p'
     ):
         loaded = parse_graph(text)
         assert loaded.graph == K3
@@ -96,11 +97,12 @@ def test_parse_errors_are_distinct_and_carry_lines():
         ("p edge -2 -1\n", MalformedLineError, "problem line fields must be non-negative", 1),
         ("p edge 2 1\nc\tx\ne 1 2\n", MalformedLineError, "unknown line type 'c'", 2),
         ("p edge 2 1\ncx\ne 1 2\n", MalformedLineError, "unknown line type 'cx'", 2),
+        ("p\n", MalformedLineError, "expected 'p edge <vertices> <edges>'", 1),
     ],
     ids=["dimacs-loop", "dimacs-reversed-duplicate", "edgelist-duplicate",
          "edgelist-loop-raw-label", "opaque-duplicate", "label-overflow",
          "dimacs-negative-then-valid", "dimacs-negative", "dimacs-c-then-tab",
-         "dimacs-c-glued"],
+         "dimacs-c-glued", "dimacs-bare-p"],
 )
 def test_parse_error_text_and_line(text, error, message, line):
     with pytest.raises(error) as err:

@@ -20,7 +20,7 @@ from lineal import (
     solve_exact_oracle,
 )
 
-from helpers import C4, P3, P4, STAR5, bf_min_cover, connected_graphs, profile_of
+from helpers import C4, NET, P3, P4, STAR5, bf_min_cover, connected_graphs, profile_of
 
 
 def inst(g, k, variant):
@@ -236,6 +236,12 @@ def test_kernel_dual_max_examples():
 
     out = kernel_dual_max(inst(Graph(1, []), 0, Variant.DUAL_MAX_LLT))
     assert kernel_answer(out) is True
+
+    # the net: its greedy matching has 2 edges, but its 3 vertices of degree
+    # 3 > 2 must all be internal (its internal profile is {3, 4})
+    out = kernel_dual_max(inst(NET, 2, Variant.DUAL_MAX_LLT))
+    assert len(greedy_cover(NET)[0]) == 2 and internal_profile(NET) == {3, 4}
+    assert out == Decided(False, "3 vertices of degree above k must all be internal")
 
 
 def test_kernel_front_ends_reject_wrong_variant():
