@@ -10,8 +10,9 @@ Machine-readable output (JSON reports, generated graphs, CSV sweeps) goes to
 stdout or --output; diagnostics go to stderr. `kernelize`, `solve`, `oracle`
 and `verify` each print their JSON report as one line. Exit codes: 0 yes, 1 no,
 2 undecided (budget, `oracle` refusal, or a reduced-but-unsolved instance),
-64 usage error (an unwritable --output included), 65 parse error,
-70 internal error (an unexpected exception; never read as an answer).
+64 usage error (an unwritable --output included), 65 parse error (an
+unreadable or non-UTF-8 input included), 70 internal error (an unexpected
+exception; never read as an answer).
 """
 from __future__ import annotations
 
@@ -160,14 +161,19 @@ def _budget(args) -> SolverBudget:
     return SolverBudget(**{k: v for k, v in given.items() if v is not None})
 
 
-def _read_graph(path: str) -> LoadedGraph:
-    if path == "-":
-        return parse_graph(sys.stdin.read())
+def _read_text(path: str) -> str:
+    """The strict UTF-8 text of `path`, or of stdin for '-'; a failed read is a parse error."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_graph(fh.read())
+        if path == "-":
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        return data.decode("utf-8")
     except OSError as exc:
         raise GraphParseError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise GraphParseError(f"cannot read {path}: not UTF-8 (byte {exc.start})") from None
 
 
 def _emit(doc: dict) -> None:
@@ -210,7 +216,7 @@ def _outcome_exit(outcome: str) -> int:
 
 def cmd_kernelize(args) -> int:
     t0 = time.perf_counter()
-    loaded = _read_graph(args.graph)
+    loaded = parse_graph(_read_text(args.graph))
     t1 = time.perf_counter()
     inst = ProblemInstance(loaded.graph, args.k, Variant(args.variant))
     outcome = kernelize(inst)
@@ -251,7 +257,7 @@ def cmd_oracle(args) -> int:
 def _decide(args, run) -> int:
     """Report `run(inst, budget)`, which returns a decision and the kernel outcome or None."""
     t0 = time.perf_counter()
-    loaded = _read_graph(args.graph)
+    loaded = parse_graph(_read_text(args.graph))
     t1 = time.perf_counter()
     inst = ProblemInstance(loaded.graph, args.k, Variant(args.variant))
     budget = _budget(args)
@@ -288,16 +294,8 @@ def cmd_verify(args) -> int:
         raise _UsageError("verify takes --variant and -k together")
     if args.k is not None and args.k < 0:
         raise _UsageError("k must be non-negative")
-    loaded = _read_graph(args.graph)
-    try:
-        if args.witness == "-":
-            text = sys.stdin.read()
-        else:
-            with open(args.witness, "r", encoding="utf-8") as fh:
-                text = fh.read()
-    except OSError as exc:
-        raise GraphParseError(f"cannot read {args.witness}: {exc.strerror}") from None
-    tree = parse_witness(text, loaded)
+    loaded = parse_graph(_read_text(args.graph))
+    tree = parse_witness(_read_text(args.witness), loaded)
     g = loaded.graph
     report = {"outcome": "no", "reason": None, "internal": None, "leaves": None}
     try:

@@ -11,9 +11,12 @@ up internal (or must absorb all internal vertices). A guessed order is only
 viable if it is the discovery order of a DFS tree of the subgraph it
 induces, so the search walks a prefix tree of orders instead of materializing
 all n^k tuples: a prefix dies as soon as its forced DFS simulation does.
-Extending a prefix by w is possible exactly when w has a neighbor on the
-simulation stack and none among the already-popped vertices, which keeps the
-walk equivalent to simulating every tuple from scratch.
+The simulation stack is always the tree path from the root to the newest
+vertex, so it is read off the parent map rather than kept. Extending a
+prefix by w is possible exactly when w has a neighbor on that path and none
+among the already-popped vertices; w goes under its deepest such neighbor
+and the path vertices below that neighbor are popped. This keeps the walk
+equivalent to simulating every tuple from scratch.
 
 Six prunings cut the walk. Each drops only prefixes that no accepting
 tuple extends, or mirror images of searched ones, so the lexicographically
@@ -188,27 +191,33 @@ def _cover_within(edges: list[tuple[int, int]], b: int, deadline: float) -> list
 def _tuple_search(g: Graph, k: int, variant: Variant, budget: SolverBudget):
     """Walk the viable ordered k-tuples of distinct vertices, ascending.
 
-    Keeps the forced-DFS state of the current prefix: the live stack, the
-    parents, and three bitmasks over vertex ids that each descent receives
-    as arguments, so backtracking restores them. `inside` is the prefix.
-    `shut` holds the vertices outside the prefix with a finished neighbor;
-    none of them ever joins, so a cut only adds the neighbors of the cut
-    vertices to it. `free` holds the vertices that have no lower twin or
-    whose next lower twin is in the prefix. A vertex w is shut or has a shut
-    neighbor exactly when `closed[w] & shut`, where closed[w] holds w and
-    its neighbors. Each complete tuple's partial tree (root, live parent
-    map) goes to the variant's builder, `extension_all_internal` for
-    dual-min and `extension_all_leaves` for dual-max, which copies what it
-    keeps. The first tree built wins, which is the lexicographically
-    smallest accepting tuple.
+    Keeps the forced-DFS state of the current prefix: the parents, `reach`,
+    and four values that each descent receives as arguments, so backtracking
+    restores them. The stack is the path from the root to the newest vertex,
+    walked through `parent`, and `reach[v]` holds the neighbors of the
+    root-to-v path, set once when v joins. `inside` is the prefix. `shut`
+    holds the vertices outside the prefix with a finished neighbor; none of
+    them ever joins, so a cut only adds the neighbors of the cut vertices to
+    it. `free` holds the vertices that have no lower twin or whose next
+    lower twin is in the prefix. `linked` counts the non-root prefix
+    vertices of the cover under a prefix parent in the cover (dual-min). A
+    vertex w is shut or has a shut neighbor exactly when `closed[w] & shut`,
+    where closed[w] holds w and its neighbors. Each complete tuple's partial
+    tree (root, live parent map) goes to the variant's builder,
+    `extension_all_internal` for dual-min and `extension_all_leaves` for
+    dual-max, which copies what it keeps. The first tree built wins, which
+    is the lexicographically smallest accepting tuple; a descent returns it
+    with its tuple, or None.
 
     The candidates are the free neighbors of the stack outside the prefix,
-    taken in ascending bit order. Shut vertices and their neighbors are
-    skipped (see the module docstring). For dual-min a vertex without a
-    neighbor outside the prefix is not added; for dual-max the last vertex
-    must be an end of the first edge still outside the prefix. Prefixes that
-    break the counting bound of the variant are dropped before they count
-    as visits.
+    `reach` of the newest vertex, taken in ascending bit order. A candidate
+    goes under the first vertex adjacent to it on the walk up `parent` from
+    the newest vertex, and the vertices passed on that walk are cut. Shut
+    vertices and their neighbors are skipped (see the module docstring).
+    For dual-min a vertex without a neighbor outside the prefix is not
+    added; for dual-max the last vertex must be an end of the first edge
+    still outside the prefix. Prefixes that break the counting bound of the
+    variant are dropped before they count as visits.
     """
     all_internal = variant is Variant.DUAL_MIN_LLT
     cover = not all_internal
@@ -223,17 +232,15 @@ def _tuple_search(g: Graph, k: int, variant: Variant, budget: SolverBudget):
     # dual-min: a minimum cover of size at most ceil(k/2), if there is one
     cov = sorted(_min_cover(g, (k + 1) // 2, deadline) or ()) if all_internal else []
     in_cov = sum(1 << c for c in cov)
-    linked = 0  # non-root prefix vertices of cov under a prefix parent in cov
     # dual-max: the vertices of degree above k, all of them internal
     high = [v for v in range(n) if len(g.adjacency[v]) > k] if cover else []
     in_high = sum(1 << v for v in high)
 
     parent: dict[int, int | None] = {}
     order: list[int] = []
-    stack: list[int] = []
-    found: list = []
+    reach = [0] * n  # reach[v]: the neighbors of the root-to-v path, set when v joins
 
-    def hopeless(inside: int, shut: int) -> bool:
+    def hopeless(inside: int, shut: int, linked: int) -> bool:
         """No accepting tuple extends the prefix, by the counting bounds."""
         if cov:
             dead = sum(1 for c in cov if closed[c] & shut and not inside >> c & 1)
@@ -243,10 +250,10 @@ def _tuple_search(g: Graph, k: int, variant: Variant, budget: SolverBudget):
             closed[v] & shut for v in high if left >> v & 1
         )
 
-    def descend(inside: int, shut: int, free: int) -> bool:
-        nonlocal visits, linked
-        if hopeless(inside, shut):
-            return False
+    def descend(inside: int, shut: int, free: int, linked: int):
+        nonlocal visits
+        if hopeless(inside, shut, linked):
+            return None
         visits += 1
         if visits > budget.max_tuple_count:
             raise BudgetExceeded("tuple")
@@ -254,16 +261,10 @@ def _tuple_search(g: Graph, k: int, variant: Variant, budget: SolverBudget):
             raise BudgetExceeded("time")
         if len(order) == k:
             witness = extend(g, RootedSpanningTree(order[0], parent))
-            if witness is not None:
-                found.append((tuple(order), witness))
-                return True
-            return False
+            return None if witness is None else (tuple(order), witness)
         grow = len(order) + 1 < k
         outside = ~inside
-        cands = 0
-        for v in stack:
-            cands |= nb[v]
-        cands &= free & outside
+        cands = reach[order[-1]] & free & outside
         if cover and not grow:
             # keep the ends of the first edge outside the prefix, if there is one
             rest = everyone & outside
@@ -282,33 +283,29 @@ def _tuple_search(g: Graph, k: int, variant: Variant, budget: SolverBudget):
                 continue
             if all_internal and not nb[w] & outside:
                 continue
-            j = len(stack) - 1
-            while not nb[w] >> stack[j] & 1:
-                j -= 1
-            parent[w] = stack[j]
+            # w goes under the first vertex adjacent to it up the stack; the
+            # vertices passed on the way are cut, and their neighbors are shut
+            v, now = order[-1], shut
+            while not nb[w] >> v & 1:
+                now |= nb[v]
+                v = parent[v]
+            parent[w] = v
+            reach[w] = reach[v] | nb[w]
             order.append(w)
-            link = in_cov >> w & in_cov >> stack[j] & 1
-            linked += link
-            if grow:
-                cut = stack[j + 1 :]
-                del stack[j + 1 :]
-                stack.append(w)
-                now = shut
-                for v in cut:
-                    now |= nb[v]
+            linked_w = linked + (in_cov >> w & in_cov >> v & 1)
+            if not grow:
+                hit = descend(inside | low, shut, free | next_twin[w], linked_w)
+            else:
                 now &= ~(inside | low)
                 # w is dead too if the cut shut one of its own neighbors
-                done = not nb[w] & now and descend(inside | low, now, free | next_twin[w])
-                stack.pop()
-                stack.extend(cut)
-            else:
-                done = descend(inside | low, shut, free | next_twin[w])
-            linked -= link
+                hit = None if nb[w] & now else descend(
+                    inside | low, now, free | next_twin[w], linked_w
+                )
             order.pop()
             del parent[w]
-            if done:
-                return True
-        return False
+            if hit is not None:
+                return hit
+        return None
 
     for root in range(n):
         if not untwinned >> root & 1:
@@ -316,9 +313,10 @@ def _tuple_search(g: Graph, k: int, variant: Variant, budget: SolverBudget):
         parent.clear()
         parent[root] = None
         order[:] = [root]
-        stack[:] = [root]
-        if descend(1 << root, 0, untwinned | next_twin[root]):
-            return found[0]
+        reach[root] = nb[root]
+        hit = descend(1 << root, 0, untwinned | next_twin[root], 0)
+        if hit is not None:
+            return hit
     return None
 
 
@@ -339,13 +337,13 @@ def _xp(g: Graph, k: int, variant: Variant, budget: SolverBudget | None) -> Deci
     """Shared frame of the two tuple solvers: settle the trivial cases, run
     the tuple search for the variant, validate the accepted witness.
 
-    With k = 0 or n <= k every DFS tree has the same answer (its internal
+    With k <= 0 or n <= k every DFS tree has the same answer (its internal
     count is at most n - 1, and it is 0 only on one vertex), so one DFS
     decides.
     """
     if g.vertex_count == 0 or not is_connected(g):
         return Decision(False)
-    if k == 0 or g.vertex_count <= k:
+    if k <= 0 or g.vertex_count <= k:
         t = dfs_any(g, 0)
         lo, hi = variant.internal_bounds(g.vertex_count, k)
         return Decision(True, witness=t) if lo <= t.internal_count() <= hi else Decision(False)
@@ -423,7 +421,7 @@ def solve_dual_fpt_with_kernel(
             if ic <= hi:
                 reason = f"DFS tree of the kernel from vertex 0 has {ic} internal vertices"
                 sub = Decision(True, witness=first, reason=reason)
-            else:  # a negative hi fails the search's degree bound: a no
+            else:  # a negative hi (k' > n') is a no from _xp's one DFS
                 sub = solve_dual_max_xp(kern.graph, hi, budget)
     except BudgetExceeded as exc:
         exc.kernel = outcome

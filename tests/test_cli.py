@@ -347,6 +347,29 @@ def test_parse_errors(capsys, tmp_path):
     assert run(capsys, "solve", str(tmp_path / "missing.txt"), "--variant", "dual-min", "-k", "1")[0] == 65
 
 
+def test_non_utf8_input_is_a_parse_error(capsys, monkeypatch, tmp_path, c4_file):
+    # a file and stdin read the same bytes the same way
+    latin1 = b"2 1\n\xe9 b\n"
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(latin1)
+    solve = ("--variant", "dual-min", "-k", "1")
+    code, out, err = run(capsys, "solve", str(path), *solve)
+    assert (code, out) == (65, "")
+    assert err == f"parse error: cannot read {path}: not UTF-8 (byte 4)\n"
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(latin1)))
+    code, out, err = run(capsys, "solve", "-", *solve)
+    assert (code, out) == (65, "")
+    assert err == "parse error: cannot read -: not UTF-8 (byte 4)\n"
+    witness = tmp_path / "w.json"
+    witness.write_bytes(b'{"root": "\xe9", "parents": {}}')
+    code, out, err = run(capsys, "verify", c4_file, "--witness", str(witness))
+    assert (code, out) == (65, "")
+    assert "not UTF-8 (byte 10)" in err
+    code, out, err = run(capsys, "verify", c4_file, "--witness", str(tmp_path / "missing.json"))
+    assert (code, out) == (65, "")
+    assert err.startswith(f"parse error: cannot read {tmp_path / 'missing.json'}:")
+
+
 def test_report_determinism_modulo_timings(capsys, c4_file):
     argv = ["solve", c4_file, "--variant", "dual-min", "-k", "3"]
     _, out1, _ = run(capsys, *argv)

@@ -54,6 +54,8 @@ def test_dual_min_xp_examples():
     assert solve_dual_min_xp(Graph(2, []), 1).answer is False
     # a tree on n <= k vertices cannot carry k internal vertices
     assert solve_dual_min_xp(P4, 4).answer is False
+    # every DFS tree has at least 0 > k internal vertices
+    assert solve_dual_min_xp(P3, -1).answer is True
 
 
 def test_dual_max_xp_examples():
@@ -62,6 +64,7 @@ def test_dual_max_xp_examples():
     assert solve_dual_max_xp(P4, 4).answer is True  # n <= k
     assert solve_dual_max_xp(Graph(1, []), 0).answer is True
     assert solve_dual_max_xp(Graph(3, []), 2).answer is False
+    assert solve_dual_max_xp(P3, -1).answer is False
 
 
 def test_witnesses_meet_their_thresholds():
@@ -228,8 +231,10 @@ def test_accepted_tuple_is_first_around_twice_the_cover():
         (300, 4, 0, 5, Variant.DUAL_MAX_LLT, 215, False),
         # dual-min k = 2 tau - 1: the cover bound leaves one path (3295 visits without it)
         (80, 5, 1, 9, Variant.DUAL_MIN_LLT, 9, True),
+        # dual-max yes: tuples are completed by extension_all_leaves and backtracked
+        (30, 5, 0, 7, Variant.DUAL_MAX_LLT, 7844, True),
     ],
-    ids=["min-yes", "max-no", "cover-bound"],
+    ids=["min-yes", "max-no", "cover-bound", "max-yes"],
 )
 def test_search_decides_at_a_pinned_visit_count(n, s, seed, k, variant, visits, answer):
     # the prunings drop exactly the same prefixes whatever the state is kept in
