@@ -34,8 +34,6 @@ from .kernel import (
     Variant,
     kernel_dual_max,
     kernel_dual_min,
-    kernel_max_llt,
-    kernel_min_llt,
     kernelize,
     reduce_with_cover,
     size_bound,

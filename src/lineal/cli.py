@@ -10,9 +10,9 @@ Machine-readable output (JSON reports, generated graphs, CSV sweeps) goes to
 stdout or --output; diagnostics go to stderr. `kernelize`, `solve`, `oracle`
 and `verify` each print their JSON report as one line. Exit codes: 0 yes, 1 no,
 2 undecided (budget, `oracle` refusal, or a reduced-but-unsolved instance),
-64 usage error (an unwritable --output included), 65 parse error (an
-unreadable or non-UTF-8 input included), 70 internal error (an unexpected
-exception; never read as an answer).
+64 usage error (an unwritable --output and `verify - --witness -` included),
+65 parse error (an unreadable or non-UTF-8 input included), 70 internal error
+(an unexpected exception; never read as an answer).
 """
 from __future__ import annotations
 
@@ -294,6 +294,8 @@ def cmd_verify(args) -> int:
         raise _UsageError("verify takes --variant and -k together")
     if args.k is not None and args.k < 0:
         raise _UsageError("k must be non-negative")
+    if args.graph == args.witness == "-":
+        raise _UsageError("verify cannot read both the graph and --witness from stdin")
     loaded = parse_graph(_read_text(args.graph))
     tree = parse_witness(_read_text(args.witness), loaded)
     g = loaded.graph

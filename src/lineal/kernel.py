@@ -1,4 +1,8 @@
-"""Reduction rules and kernelization front-ends for the four problem variants.
+"""Reduction rules and the two kernelization front-ends.
+
+The four variants ask for at least lo (min-llt, dual-min) or at most hi
+(max-llt, dual-max) internal vertices (`Variant.internal_bounds`). One
+front-end serves each direction, under the name of its dual variant.
 
 The core reduction takes a connected graph together with a vertex cover of
 size s and shrinks it to at most s^2(s-1)+3s vertices while preserving, for
@@ -47,14 +51,15 @@ class Variant(str, Enum):
 
     def internal_bounds(self, n: int, k: int) -> tuple[int, int]:
         """(lo, hi): a DFS tree of an n-vertex graph answers yes for k iff
-        lo <= its internal count <= hi."""
-        if self is Variant.MIN_LLT:
-            return n - k, n
-        if self is Variant.MAX_LLT:
-            return 0, n - k
-        if self is Variant.DUAL_MIN_LLT:
-            return k, n
-        return 0, k
+        lo <= its internal count <= hi. A leaf variant's bound is n - k."""
+        t = n - k if self in (Variant.MIN_LLT, Variant.MAX_LLT) else k
+        return (t, n) if self.at_least else (0, t)
+
+    @property
+    def at_least(self) -> bool:
+        """True for min-llt and dual-min (lo internal vertices at least), False
+        for max-llt and dual-max (hi at most)."""
+        return self in (Variant.MIN_LLT, Variant.DUAL_MIN_LLT)
 
 
 @dataclass(frozen=True)
@@ -182,113 +187,94 @@ class Reduced:
 
 KernelOutcome = Decided | Reduced
 
-_ONE_LEAF = "a single vertex is one leaf"
-_NO_INTERNAL = "a single vertex has no internal vertices"
-
-
-def kernel_min_llt(inst: ProblemInstance) -> KernelOutcome:
-    """Kernelize "at most k leaves" using a greedy 2-approximate vertex cover.
-
-    The parameter shifts by the number of deleted vertices. A shifted
-    parameter below 1 is an immediate no: every DFS tree of a nonempty
-    connected graph keeps at least one leaf.
-    """
-    if (trivial := _trivial(inst, Variant.MIN_LLT, _ONE_LEAF)) is not None:
-        return trivial
-    g = inst.graph
-    _, cover = greedy_cover(g)
-    reduced, trace = reduce_with_cover(g, cover)
-    kp = inst.k - (g.vertex_count - reduced.vertex_count)
-    if kp < 1:
-        return Decided(False, "every DFS tree has at least one leaf")
-    return Reduced(ProblemInstance(reduced, kp, Variant.MIN_LLT), trace)
-
-
-def kernel_max_llt(inst: ProblemInstance) -> KernelOutcome:
-    """Kernelize "at least k leaves"; mirror of kernel_min_llt.
-
-    A shifted parameter of 1 or less is an immediate yes for the same
-    one-leaf reason, certified by the DFS tree from vertex 0.
-    """
-    if (trivial := _trivial(inst, Variant.MAX_LLT, _ONE_LEAF)) is not None:
-        return trivial
-    g = inst.graph
-    _, cover = greedy_cover(g)
-    reduced, trace = reduce_with_cover(g, cover)
-    kp = inst.k - (g.vertex_count - reduced.vertex_count)
-    if kp <= 1:
-        return Decided(True, "every DFS tree has at least one leaf", tree=dfs_any(g, 0))
-    return Reduced(ProblemInstance(reduced, kp, Variant.MAX_LLT), trace)
+_ONE_LEAF = "every DFS tree has at least one leaf"
 
 
 def kernel_dual_min(inst: ProblemInstance) -> KernelOutcome:
-    """Kernelize "at least k internal vertices" down to O(k^3) vertices.
+    """Kernelize "at least lo internal vertices": dual-min, and min-llt.
 
-    One DFS from vertex 0 either already certifies yes, or its internal
-    vertices form a vertex cover of size below k that drives the reduction.
-    Any root would do: the internal vertices of every DFS tree form a vertex
-    cover. The parameter is unchanged.
+    One DFS from vertex 0 either already certifies yes, or its fewer than lo
+    internal vertices drive the reduction. They form a vertex cover (two
+    adjacent vertices are ancestor and descendant, so not both leaves) of at
+    most 2τ vertices: cutting a deepest internal vertex off with its leaf
+    children puts one tree edge into a matching and takes at most two
+    internal vertices (it, and its parent if that becomes a leaf) out. So
+    the kernel has O(min(lo, τ)^3) vertices. A kernel of n' <= lo vertices
+    is a no, as its DFS trees keep a leaf.
     """
-    if (trivial := _trivial(inst, Variant.DUAL_MIN_LLT, _NO_INTERNAL)) is not None:
+    if (trivial := _trivial(inst, at_least=True)) is not None:
         return trivial
     g = inst.graph
+    lo, _ = inst.variant.internal_bounds(g.vertex_count, inst.k)
     t = dfs_any(g, 0)
     cover = t.internal_vertices()
-    if len(cover) >= inst.k:
+    if len(cover) >= lo:
         return Decided(True, f"DFS tree from vertex 0 has {len(cover)} internal vertices", tree=t)
     reduced, trace = reduce_with_cover(g, cover)
-    return Reduced(ProblemInstance(reduced, inst.k, Variant.DUAL_MIN_LLT), trace)
+    if lo >= reduced.vertex_count:
+        return Decided(False, _ONE_LEAF)
+    return _shrunk(inst, reduced, trace)
 
 
 def kernel_dual_max(inst: ProblemInstance) -> KernelOutcome:
-    """Kernelize "at most k internal vertices" down to O(k^3) vertices.
+    """Kernelize "at most hi internal vertices": dual-max, and max-llt.
 
-    A greedy maximal matching larger than k certifies the cover number
-    exceeds k, so no DFS tree can stay within k internal vertices. So do
-    more than k vertices of degree above k (the high-degree rule): a leaf's
-    neighbors are all its ancestors, which are internal, so such a vertex
-    is a leaf only in a tree with more than k internal vertices. Otherwise
-    the matching's endpoints (at most 2k) drive the reduction; the
-    parameter is unchanged.
+    Internal vertices form a vertex cover, so a greedy maximal matching of
+    more than hi edges is a no. So are more than hi vertices of degree above
+    hi: a leaf's neighbors are all its ancestors, which are internal, so
+    each such vertex is internal. Otherwise the matching's ends (at most
+    2hi) drive the reduction. A kernel of n' <= hi + 1 vertices is a yes;
+    the reduction keeps every achievable internal count, so the input
+    graph's DFS tree from vertex 0 certifies it.
     """
-    if (trivial := _trivial(inst, Variant.DUAL_MAX_LLT, _NO_INTERNAL)) is not None:
+    if (trivial := _trivial(inst, at_least=False)) is not None:
         return trivial
-    g, k = inst.graph, inst.k
+    g = inst.graph
+    _, hi = inst.variant.internal_bounds(g.vertex_count, inst.k)
     matching, cover = greedy_cover(g)
-    if len(matching) > k:
-        return Decided(False, f"maximal matching of size {len(matching)} exceeds k")
-    high = sum(d > k for d in map(len, g.adjacency))
-    if high > k:
-        return Decided(False, f"{high} vertices of degree above k must all be internal")
+    if len(matching) > hi:
+        reason = f"maximal matching of size {len(matching)} needs more than {hi} internal vertices"
+        return Decided(False, reason)
+    high = sum(d > hi for d in map(len, g.adjacency))
+    if high > hi:
+        return Decided(False, f"{high} vertices of degree above {hi} must all be internal")
     reduced, trace = reduce_with_cover(g, cover)
-    return Reduced(ProblemInstance(reduced, k, Variant.DUAL_MAX_LLT), trace)
+    if hi >= reduced.vertex_count - 1:
+        return Decided(True, _ONE_LEAF, tree=dfs_any(g, 0))
+    return _shrunk(inst, reduced, trace)
 
 
 def kernelize(inst: ProblemInstance) -> KernelOutcome:
-    """Dispatch to the variant's kernelization."""
-    if inst.variant is Variant.MIN_LLT:
-        return kernel_min_llt(inst)
-    if inst.variant is Variant.MAX_LLT:
-        return kernel_max_llt(inst)
-    if inst.variant is Variant.DUAL_MIN_LLT:
+    """Kernelize any variant through the front-end of its direction."""
+    if inst.variant.at_least:
         return kernel_dual_min(inst)
     return kernel_dual_max(inst)
 
 
-def _trivial(inst: ProblemInstance, variant: Variant, single_reason: str) -> Decided | None:
-    """Check the instance's variant, then settle graphs with fewer than two
+def _shrunk(inst: ProblemInstance, reduced: Graph, trace: ReductionTrace) -> Reduced:
+    """The kernel instance. Internal counts do not shift, so a leaf variant's
+    k drops by the number of deleted vertices and a dual k stays."""
+    k = inst.k
+    if inst.variant in (Variant.MIN_LLT, Variant.MAX_LLT):
+        k -= inst.graph.vertex_count - reduced.vertex_count
+    return Reduced(ProblemInstance(reduced, k, inst.variant), trace)
+
+
+def _trivial(inst: ProblemInstance, at_least: bool) -> Decided | None:
+    """Check the instance's direction, then settle graphs with fewer than two
     vertices or more than one component; None for every other graph. A
     single vertex's yes carries the one-vertex tree."""
-    if inst.variant is not variant:
-        raise ValueError(f"expected a {variant.value} instance, got {inst.variant.value}")
+    if inst.variant.at_least is not at_least:
+        raise ValueError(f"{inst.variant.value} belongs to the other kernel front-end")
     g = inst.graph
     if g.vertex_count == 0:
         return Decided(False, "empty graph has no spanning tree")
     if not is_connected(g):
         return Decided(False, "disconnected graph has no spanning tree")
     if g.vertex_count == 1:
-        lo, hi = variant.internal_bounds(1, inst.k)
+        lo, hi = inst.variant.internal_bounds(1, inst.k)
+        reason = "a single vertex has no internal vertices"
         if lo <= 0 <= hi:
-            return Decided(True, single_reason, tree=RootedSpanningTree(0, {0: None}))
-        return Decided(False, single_reason)
+            return Decided(True, reason, tree=RootedSpanningTree(0, {0: None}))
+        return Decided(False, reason)
     return None

@@ -2,9 +2,10 @@
 and the one kernel-then-solve pipeline for all four variants.
 
 The pipeline kernelizes the instance, then decides every kernel by the tuple
-search: min-llt and max-llt with the shifted k ask for at least, or at most,
-n' - k' internal vertices. A kernel witness is lifted back through the
-reduction trace and validated on the input graph before it is returned.
+search of its direction: at least lo internal vertices for min-llt and
+dual-min, at most hi for max-llt and dual-max. A kernel witness is lifted
+back through the reduction trace and validated on the input graph before
+it is returned.
 
 The tuple solvers guess the discovery order of the k vertices that must end
 up internal (or must absorb all internal vertices). A guessed order is only
@@ -58,12 +59,13 @@ first accepting tuple is unchanged:
 * Degree bound (dual-max). A leaf's neighbors are all its ancestors, which
   are internal, so in a tree with at most k internal vertices every vertex
   of degree above k is internal and must be in the tuple. More than k such
-  vertices in the whole graph is a no that the dual-max kernel front-end
-  already returns, before any reduction; the search keeps the check per
-  prefix. A prefix is dropped when fewer tuple slots are left than such
-  vertices outside it, or when one of them is shut or has a shut neighbor
-  and so can never be added. With more than k of them every root is
-  dropped before it counts as a visit.
+  vertices in the whole graph is a no that the at-most kernel front-end
+  (dual-max, and max-llt with k = hi) already returns, before any
+  reduction; the search keeps the check per prefix. A prefix is dropped
+  when fewer tuple slots are left than such vertices outside it, or when
+  one of them is shut or has a shut neighbor and so can never be added.
+  With more than k of them every root is dropped before it counts as a
+  visit, and once they fill every slot left only they are tried next.
 
 Tuple prefixes could be partitioned across workers; the implementation is
 sequential and reports the lexicographically first accepting tuple, which is
@@ -265,6 +267,8 @@ def _tuple_search(g: Graph, k: int, variant: Variant, budget: SolverBudget):
         grow = len(order) + 1 < k
         outside = ~inside
         cands = reach[order[-1]] & free & outside
+        if cover and (in_high & outside).bit_count() == k - len(order):
+            cands &= in_high  # any other child leaves too few slots for them
         if cover and not grow:
             # keep the ends of the first edge outside the prefix, if there is one
             rest = everyone & outside
@@ -413,15 +417,15 @@ def solve_dual_fpt_with_kernel(
         kern, trace = outcome.instance, outcome.trace
         lo, hi = variant.internal_bounds(kern.graph.vertex_count, kern.k)
         budget = replace(budget, time_limit=left)
-        if variant in (Variant.MIN_LLT, Variant.DUAL_MIN_LLT):
-            sub = solve_dual_min_xp(kern.graph, max(lo, 0), budget)
+        if variant.at_least:
+            sub = solve_dual_min_xp(kern.graph, lo, budget)
         else:
             first = dfs_any(kern.graph, 0)
             ic = first.internal_count()
             if ic <= hi:
                 reason = f"DFS tree of the kernel from vertex 0 has {ic} internal vertices"
                 sub = Decision(True, witness=first, reason=reason)
-            else:  # a negative hi (k' > n') is a no from _xp's one DFS
+            else:
                 sub = solve_dual_max_xp(kern.graph, hi, budget)
     except BudgetExceeded as exc:
         exc.kernel = outcome

@@ -26,8 +26,7 @@ from lineal import (
     is_dfs_tree,
     kernel_dual_max,
     kernel_dual_min,
-    kernel_max_llt,
-    kernel_min_llt,
+    kernelize,
     reduce_with_cover,
     size_bound,
     solve_dual_fpt,
@@ -158,11 +157,11 @@ def test_criterion_4_cover_kernels_match_oracle():
         n = g.vertex_count
         for k in KS:
             truth = _oracle_answers(g, k)
-            out = kernel_min_llt(ProblemInstance(g, k, Variant.MIN_LLT))
+            out = kernelize(ProblemInstance(g, k, Variant.MIN_LLT))
             assert _kernel_answer(out) == truth[Variant.MIN_LLT], (g.adjacency, k)
             if isinstance(out, Reduced):
                 assert out.instance.k == k - (n - out.instance.graph.vertex_count)
-            out = kernel_max_llt(ProblemInstance(g, k, Variant.MAX_LLT))
+            out = kernelize(ProblemInstance(g, k, Variant.MAX_LLT))
             assert _kernel_answer(out) == truth[Variant.MAX_LLT], (g.adjacency, k)
             checked += 2
     _passed(4, f"cover-parameter kernels vs oracle, {checked} outcomes")

@@ -68,7 +68,7 @@ def test_dual_max_high_degree_rule_answers_no(capsys, tmp_path):
     # the net: a 2-edge matching, but 3 vertices of degree 3 > k = 2
     net = tmp_path / "net.txt"
     net.write_text("6 6\n0 1\n0 2\n1 2\n0 3\n1 4\n2 5\n")
-    reason = "3 vertices of degree above k must all be internal"
+    reason = "3 vertices of degree above 2 must all be internal"
     for command in ("kernelize", "solve"):
         code, out, _ = run(capsys, command, str(net), "--variant", "dual-max", "-k", "2")
         assert code == 1
@@ -160,6 +160,16 @@ def test_verify_takes_variant_and_k_together(capsys, c4_file, tmp_path, given):
     assert "--variant and -k together" in err
 
 
+def test_verify_refuses_graph_and_witness_both_from_stdin(capsys, monkeypatch):
+    stdin = io.TextIOWrapper(io.BytesIO(b"2 1\n0 1\n"))
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = run(capsys, "verify", "-", "--witness", "-")
+    assert code == 64
+    assert out == ""
+    assert "both the graph and --witness from stdin" in err
+    assert stdin.read() == "2 1\n0 1\n"  # refused before anything was read
+
+
 def test_oracle_and_limit(capsys, c4_file):
     argv = ["oracle", c4_file, "--variant", "max-llt", "-k", "2"]
     code, out, _ = run(capsys, *argv)
@@ -169,8 +179,9 @@ def test_oracle_and_limit(capsys, c4_file):
     assert report_of(out)["outcome"] == "undecided"
 
 
-def test_solve_non_dual_searches_the_kernel(capsys, c4_file):
-    code, out, _ = run(capsys, "solve", c4_file, "--variant", "min-llt", "-k", "1")
+def test_solve_non_dual_searches_the_kernel(capsys, star_file):
+    # at most 4 leaves: the DFS from the centre has 1 internal vertex, 2 are asked for
+    code, out, _ = run(capsys, "solve", star_file, "--variant", "min-llt", "-k", "4")
     assert code == 0
     rep = report_of(out)
     assert rep["reason"] == "tuple search on the kernel"
@@ -202,7 +213,7 @@ def test_min_llt_is_decided_on_a_kernel_above_ten_vertices(capsys, tmp_path):
     assert code == 0
     rep = report_of(out)
     assert rep["reason"] == "tuple search on the kernel"
-    assert (rep["kernel"]["n_before"], rep["kernel"]["n_after"]) == (40, 23)
+    assert (rep["kernel"]["n_before"], rep["kernel"]["n_after"]) == (40, 22)
     witness = tmp_path / "w.json"
     witness.write_text(json.dumps(rep["witness"]))
     code, out, _ = run(

@@ -13,8 +13,7 @@ from lineal import (
     is_dfs_tree,
     kernel_dual_max,
     kernel_dual_min,
-    kernel_max_llt,
-    kernel_min_llt,
+    kernelize,
     reduce_with_cover,
     size_bound,
     solve_exact_oracle,
@@ -187,29 +186,36 @@ def test_post_rule_structure_bounds():
 # kernelization front-ends
 
 def test_kernel_min_llt_examples():
-    out = kernel_min_llt(inst(STAR5, 2, Variant.MIN_LLT))
+    # min-llt asks for at least n - k internal vertices, through kernel_dual_min
+    out = kernel_dual_min(inst(STAR5, 2, Variant.MIN_LLT))
     assert out == Decided(False, "every DFS tree has at least one leaf")
 
-    out = kernel_min_llt(inst(Graph(2, []), 5, Variant.MIN_LLT))
+    out = kernel_dual_min(inst(Graph(2, []), 5, Variant.MIN_LLT))
     assert isinstance(out, Decided) and not out.answer
 
-    out = kernel_min_llt(inst(C4, 1, Variant.MIN_LLT))
+    # the DFS from the centre has 1 internal vertex, 2 are asked for
+    out = kernel_dual_min(inst(STAR5, 4, Variant.MIN_LLT))
     assert isinstance(out, Reduced)
-    assert out.instance.k == 1
+    assert out.instance.graph.vertex_count == 3 and out.instance.k == 1
     assert kernel_answer(out) is True
+
+    # the DFS from vertex 0 is a Hamiltonian path
+    out = kernel_dual_min(inst(C4, 1, Variant.MIN_LLT))
+    assert out == Decided(True, "DFS tree from vertex 0 has 3 internal vertices")
     assert solve_exact_oracle(inst(C4, 1, Variant.MIN_LLT)).answer is True
 
 
 def test_kernel_max_llt_examples():
-    out = kernel_max_llt(inst(STAR5, 5, Variant.MAX_LLT))
+    # max-llt asks for at most n - k internal vertices, through kernel_dual_max
+    out = kernel_dual_max(inst(STAR5, 5, Variant.MAX_LLT))
     assert isinstance(out, Reduced)
     assert out.instance.k == 3 and out.instance.graph.vertex_count == 4
     assert kernel_answer(out) is True
 
-    assert kernel_max_llt(inst(C4, 1, Variant.MAX_LLT)) == Decided(
+    assert kernel_dual_max(inst(C4, 1, Variant.MAX_LLT)) == Decided(
         True, "every DFS tree has at least one leaf"
     )
-    assert kernel_max_llt(inst(Graph(3, []), 2, Variant.MAX_LLT)).answer is False
+    assert kernel_dual_max(inst(Graph(3, []), 2, Variant.MAX_LLT)).answer is False
 
 
 def test_kernel_dual_min_examples():
@@ -241,12 +247,14 @@ def test_kernel_dual_max_examples():
     # 3 > 2 must all be internal (its internal profile is {3, 4})
     out = kernel_dual_max(inst(NET, 2, Variant.DUAL_MAX_LLT))
     assert len(greedy_cover(NET)[0]) == 2 and internal_profile(NET) == {3, 4}
-    assert out == Decided(False, "3 vertices of degree above k must all be internal")
+    assert out == Decided(False, "3 vertices of degree above 2 must all be internal")
 
 
 def test_kernel_front_ends_reject_wrong_variant():
     with pytest.raises(ValueError):
-        kernel_min_llt(inst(C4, 1, Variant.MAX_LLT))
+        kernel_dual_min(inst(C4, 1, Variant.MAX_LLT))
+    with pytest.raises(ValueError):
+        kernel_dual_max(inst(C4, 1, Variant.MIN_LLT))
 
 
 def test_instance_rejects_negative_k():
@@ -266,13 +274,8 @@ def test_kernel_outcomes_match_oracle(g):
             Variant.DUAL_MIN_LLT: max(prof) >= k,
             Variant.DUAL_MAX_LLT: min(prof) <= k,
         }
-        outs = {
-            Variant.MIN_LLT: kernel_min_llt(inst(g, k, Variant.MIN_LLT)),
-            Variant.MAX_LLT: kernel_max_llt(inst(g, k, Variant.MAX_LLT)),
-            Variant.DUAL_MIN_LLT: kernel_dual_min(inst(g, k, Variant.DUAL_MIN_LLT)),
-            Variant.DUAL_MAX_LLT: kernel_dual_max(inst(g, k, Variant.DUAL_MAX_LLT)),
-        }
-        for variant, out in outs.items():
+        for variant in Variant:
+            out = kernelize(inst(g, k, variant))
             assert kernel_answer(out) == truths[variant], (variant, k)
             if isinstance(out, Decided) and out.answer:
                 # every kernel yes carries a DFS tree of g that certifies it

@@ -5,11 +5,14 @@ from hypothesis import given, settings
 
 from lineal import (
     BudgetExceeded,
+    Decided,
     Graph,
     OracleLimitError,
     ProblemInstance,
+    Reduced,
     SolverBudget,
     Variant,
+    dfs_any,
     is_dfs_tree,
     kernelize,
     solve_dual_fpt,
@@ -246,6 +249,14 @@ def test_search_decides_at_a_pinned_visit_count(n, s, seed, k, variant, visits, 
     assert err.value.phase == "tuple"
 
 
+def test_dual_max_search_tries_only_high_degree_vertices_when_they_fill_the_slots():
+    # 9 slots: once the vertices of degree above 9 outside the prefix fill the
+    # slots left, every other child is dropped before it is built
+    g = bounded_cover_graph(300, 8, 0.3, seed=2)
+    kern = kernelize(inst(g, 9, Variant.DUAL_MAX_LLT)).instance.graph
+    assert solve_dual_max_xp(kern, 9, SolverBudget(time_limit=1.5)).answer is False
+
+
 def test_search_002_reach_min_is_decided():
     # perfbench search seed 7, instance search-002: k = 2 tau on a 115-vertex kernel
     g = bounded_cover_graph(300, 5, 0.3, seed=991707165)
@@ -397,10 +408,13 @@ def test_pipeline_matches_the_profile_on_shrinking_kernels():
     for g in SHRINKING:
         n = g.vertex_count
         profile = profile_of(g)
+        first = dfs_any(g, 0).internal_count()
         for variant in Variant:
             for k in range(n + 2):
                 d, outcome = solve_dual_fpt_with_kernel(inst(g, k, variant))
-                if variant is Variant.MIN_LLT and k == n - 1:
+                if variant is Variant.MIN_LLT and k == n - first - 1:
+                    # one internal vertex more than the first DFS has: reduced
+                    assert isinstance(outcome, Reduced), g.adjacency
                     assert outcome.instance.graph.vertex_count < n, g.adjacency
                 assert d.answer == any(_meets(variant, n, c, k) for c in profile), (
                     g.adjacency, variant, k,
@@ -408,6 +422,34 @@ def test_pipeline_matches_the_profile_on_shrinking_kernels():
                 if d.answer:
                     assert is_dfs_tree(g, d.witness)
                     assert _meets(variant, n, d.witness.internal_count(), k)
+
+
+def _assert_one_front_end_per_direction(g):
+    # a leaf variant with k and its dual with n - k ask for the same internal
+    # counts, so they get the same outcome; only the kernel's k differs
+    n = g.vertex_count
+    for k in range(n + 1):
+        for leaf, dual in [(Variant.MIN_LLT, Variant.DUAL_MIN_LLT),
+                           (Variant.MAX_LLT, Variant.DUAL_MAX_LLT)]:
+            a, b = kernelize(inst(g, k, leaf)), kernelize(inst(g, n - k, dual))
+            if isinstance(b, Decided):
+                assert a == b, (g.adjacency, leaf, k)
+                continue
+            assert isinstance(a, Reduced), (g.adjacency, leaf, k)
+            kern = b.instance.graph
+            assert (a.instance.graph, a.trace) == (kern, b.trace), (g.adjacency, leaf, k)
+            assert a.instance.k == kern.vertex_count - b.instance.k, (g.adjacency, leaf, k)
+
+
+@given(connected_graphs(max_n=8))
+@settings(max_examples=60, deadline=None)
+def test_leaf_variants_share_the_dual_front_ends(g):
+    _assert_one_front_end_per_direction(g)
+
+
+def test_leaf_variants_share_the_dual_front_ends_on_shrinking_kernels():
+    for g in SHRINKING:
+        _assert_one_front_end_per_direction(g)
 
 
 # ---------------------------------------------------------------------------
