@@ -2,7 +2,8 @@
 
 The four variants ask for at least lo (min-llt, dual-min) or at most hi
 (max-llt, dual-max) internal vertices (`Variant.internal_bounds`). One
-front-end serves each direction, under the name of its dual variant.
+front-end serves each direction, under the name of its dual variant. Both
+settle yes by the input's DFS tree from vertex 0; a kernel's lifts back to it.
 
 The core reduction takes a connected graph together with a vertex cover of
 size s and shrinks it to at most s^2(s-1)+3s vertices while preserving, for
@@ -94,7 +95,7 @@ class ReductionTrace:
         return len(self.unlabeled)
 
     def lift(self, g: Graph, kernel_tree: RootedSpanningTree) -> RootedSpanningTree:
-        """Pull a DFS tree of the kernel back to `g`, the graph this trace reduced.
+        """Pull a kernel DFS tree back to `g`, the graph this trace reduced.
 
         Survivors keep their tree shape. A deleted pendant rejoins as a leaf
         child of its only neighbor, the cover vertex that kept two others; a
@@ -136,6 +137,17 @@ def reduce_with_cover(g: Graph, cover) -> tuple[Graph, ReductionTrace]:
     ones, each in ascending id. With an empty cover (only possible for
     edgeless graphs) the graph passes through unchanged and the bound does
     not apply.
+
+    The lift of the kernel's `dfs_any` tree from vertex 0 is g's (vertex 0,
+    lowest on every list, survives). A deleted pendant is found as a leaf
+    under its one neighbor. Take a deleted unlabeled w entered from c, with
+    a neighbor c' still undiscovered. The pair {c, c'} labeled 2s shared
+    neighbors below w, and c scans them first; one that c enters or that is
+    finished has found c', so all 2s are on the stack. But outside vertices
+    on a path are separated by cover vertices, so at most s are. So w is a
+    leaf under its deepest neighbor, the walk over the survivors is the
+    kernel's DFS, and the lift puts each deleted vertex back where g's DFS
+    puts it.
     """
     cov = sorted(cover)
     cov_set = frozenset(cov)
@@ -187,8 +199,6 @@ class Reduced:
 
 KernelOutcome = Decided | Reduced
 
-_ONE_LEAF = "every DFS tree has at least one leaf"
-
 
 def kernel_dual_min(inst: ProblemInstance) -> KernelOutcome:
     """Kernelize "at least lo internal vertices": dual-min, and min-llt.
@@ -212,7 +222,7 @@ def kernel_dual_min(inst: ProblemInstance) -> KernelOutcome:
         return Decided(True, f"DFS tree from vertex 0 has {len(cover)} internal vertices", tree=t)
     reduced, trace = reduce_with_cover(g, cover)
     if lo >= reduced.vertex_count:
-        return Decided(False, _ONE_LEAF)
+        return Decided(False, "every DFS tree has at least one leaf")
     return _shrunk(inst, reduced, trace)
 
 
@@ -222,10 +232,9 @@ def kernel_dual_max(inst: ProblemInstance) -> KernelOutcome:
     Internal vertices form a vertex cover, so a greedy maximal matching of
     more than hi edges is a no. So are more than hi vertices of degree above
     hi: a leaf's neighbors are all its ancestors, which are internal, so
-    each such vertex is internal. Otherwise the matching's ends (at most
-    2hi) drive the reduction. A kernel of n' <= hi + 1 vertices is a yes;
-    the reduction keeps every achievable internal count, so the input
-    graph's DFS tree from vertex 0 certifies it.
+    each such vertex is internal. Only then, a DFS tree from vertex 0 with
+    at most hi internal vertices is a yes; otherwise the matching's ends
+    (at most 2hi) drive the reduction.
     """
     if (trivial := _trivial(inst, at_least=False)) is not None:
         return trivial
@@ -238,9 +247,10 @@ def kernel_dual_max(inst: ProblemInstance) -> KernelOutcome:
     high = sum(d > hi for d in map(len, g.adjacency))
     if high > hi:
         return Decided(False, f"{high} vertices of degree above {hi} must all be internal")
+    t = dfs_any(g, 0)
+    if (ic := t.internal_count()) <= hi:
+        return Decided(True, f"DFS tree from vertex 0 has {ic} internal vertices", tree=t)
     reduced, trace = reduce_with_cover(g, cover)
-    if hi >= reduced.vertex_count - 1:
-        return Decided(True, _ONE_LEAF, tree=dfs_any(g, 0))
     return _shrunk(inst, reduced, trace)
 
 
@@ -261,9 +271,8 @@ def _shrunk(inst: ProblemInstance, reduced: Graph, trace: ReductionTrace) -> Red
 
 
 def _trivial(inst: ProblemInstance, at_least: bool) -> Decided | None:
-    """Check the instance's direction, then settle graphs with fewer than two
-    vertices or more than one component; None for every other graph. A
-    single vertex's yes carries the one-vertex tree."""
+    """Check the instance's direction, then settle the empty graph and
+    disconnected graphs as no; None for every other graph, one vertex too."""
     if inst.variant.at_least is not at_least:
         raise ValueError(f"{inst.variant.value} belongs to the other kernel front-end")
     g = inst.graph
@@ -271,10 +280,4 @@ def _trivial(inst: ProblemInstance, at_least: bool) -> Decided | None:
         return Decided(False, "empty graph has no spanning tree")
     if not is_connected(g):
         return Decided(False, "disconnected graph has no spanning tree")
-    if g.vertex_count == 1:
-        lo, hi = inst.variant.internal_bounds(1, inst.k)
-        reason = "a single vertex has no internal vertices"
-        if lo <= 0 <= hi:
-            return Decided(True, reason, tree=RootedSpanningTree(0, {0: None}))
-        return Decided(False, reason)
     return None

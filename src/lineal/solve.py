@@ -3,9 +3,9 @@ and the one kernel-then-solve pipeline for all four variants.
 
 The pipeline kernelizes the instance, then decides every kernel by the tuple
 search of its direction: at least lo internal vertices for min-llt and
-dual-min, at most hi for max-llt and dual-max. A kernel witness is lifted
-back through the reduction trace and validated on the input graph before
-it is returned.
+dual-min, at most hi for max-llt and dual-max; the DFS from vertex 0 runs in
+the kernel front-ends. A kernel witness is lifted back through the reduction
+trace and validated on the input graph before it is returned.
 
 The tuple solvers guess the discovery order of the k vertices that must end
 up internal (or must absorb all internal vertices). A guessed order is only
@@ -388,11 +388,10 @@ def solve_dual_fpt_with_kernel(
 
     The tuple search (time k^O(k) poly(n)) decides every kernel with the
     bounds (lo, hi) of the kernel's k: min-llt and dual-min ask for at least
-    lo internal vertices, max-llt and dual-max for at most hi, and for these
-    two one DFS of the kernel from vertex 0 goes first (a large hi would
-    cost long tuples) and is the witness when it fits. Returns the decision
-    together with the kernelization outcome so callers can report reduction
-    statistics. Yes answers carry a witness validated on the original
+    lo internal vertices, max-llt and dual-max for at most hi (the DFS from
+    vertex 0 is already tried by the front-end). Returns the decision with
+    the kernelization outcome so callers can report reduction statistics.
+    Yes answers carry a witness validated on the original
     graph: the kernelization's own tree when it settles the instance, else
     the kernel's witness lifted back; an accepted tuple is reported in
     original ids. A caller that already holds ``kernelize(inst)``
@@ -420,17 +419,11 @@ def solve_dual_fpt_with_kernel(
         if variant.at_least:
             sub = solve_dual_min_xp(kern.graph, lo, budget)
         else:
-            first = dfs_any(kern.graph, 0)
-            ic = first.internal_count()
-            if ic <= hi:
-                reason = f"DFS tree of the kernel from vertex 0 has {ic} internal vertices"
-                sub = Decision(True, witness=first, reason=reason)
-            else:
-                sub = solve_dual_max_xp(kern.graph, hi, budget)
+            sub = solve_dual_max_xp(kern.graph, hi, budget)
     except BudgetExceeded as exc:
         exc.kernel = outcome
         raise
-    reason = sub.reason or "tuple search on the kernel"
+    reason = "tuple search on the kernel"
     if not sub.answer:
         return Decision(False, reason=reason), outcome
     lifted = _checked(g, trace.lift(g, sub.witness), variant, k)

@@ -30,6 +30,7 @@ C4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 K3 = Graph(3, [(0, 1), (1, 2), (0, 2)])
 STAR3 = Graph(4, [(0, 1), (0, 2), (0, 3)])  # K_{1,3}, center 0
 STAR5 = Graph(6, [(0, i) for i in range(1, 6)])  # K_{1,5}, center 0
+STAR5_AT_5 = Graph(6, [(i, 5) for i in range(5)])  # K_{1,5}, center 5
 PAW = Graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)])  # triangle plus pendant on 0
 NET = Graph(6, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5)])  # triangle, a pendant on each corner
 

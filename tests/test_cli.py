@@ -187,16 +187,17 @@ def test_solve_non_dual_searches_the_kernel(capsys, star_file):
     assert rep["reason"] == "tuple search on the kernel"
 
 
-def test_solve_max_llt_settles_the_kernel_by_its_first_dfs(capsys, tmp_path):
-    # the kernel keeps 4 of the 51 vertices, and its DFS from the centre fits
+def test_solve_max_llt_settles_the_star_by_its_first_dfs(capsys, tmp_path):
+    # the DFS from the centre has 1 internal vertex, as many as 51 - 50 allows:
+    # the front-end says yes before reducing
     star = tmp_path / "star51.txt"
     star.write_text("51 50\n" + "".join(f"0 {i}\n" for i in range(1, 51)))
     code, out, _ = run(capsys, "solve", str(star), "--variant", "max-llt", "-k", "50")
     assert code == 0
     rep = report_of(out)
     assert rep["outcome"] == "yes"
-    assert rep["reason"] == "DFS tree of the kernel from vertex 0 has 1 internal vertices"
-    assert rep["kernel"]["n_after"] == 4
+    assert rep["reason"] == "DFS tree from vertex 0 has 1 internal vertices"
+    assert rep["kernel"] == {"ran": True, "n_before": 51}
     witness = tmp_path / "w.json"
     witness.write_text(json.dumps(rep["witness"]))
     code, out, _ = run(

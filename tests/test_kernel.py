@@ -1,5 +1,8 @@
+import random
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lineal import (
     Decided,
@@ -19,7 +22,20 @@ from lineal import (
     solve_exact_oracle,
 )
 
-from helpers import C4, NET, P3, P4, STAR5, bf_min_cover, connected_graphs, profile_of
+from lineal.generate import bounded_cover_graph, star_graph
+
+from helpers import (
+    C4,
+    NET,
+    P3,
+    P4,
+    STAR5,
+    STAR5_AT_5,
+    atlas_connected,
+    bf_min_cover,
+    connected_graphs,
+    profile_of,
+)
 
 
 def inst(g, k, variant):
@@ -206,14 +222,16 @@ def test_kernel_min_llt_examples():
 
 
 def test_kernel_max_llt_examples():
-    # max-llt asks for at most n - k internal vertices, through kernel_dual_max
-    out = kernel_dual_max(inst(STAR5, 5, Variant.MAX_LLT))
+    # max-llt asks for at most n - k internal vertices, through kernel_dual_max;
+    # the DFS from leaf 0 has 2 internal vertices, 1 is asked for
+    out = kernel_dual_max(inst(STAR5_AT_5, 5, Variant.MAX_LLT))
     assert isinstance(out, Reduced)
     assert out.instance.k == 3 and out.instance.graph.vertex_count == 4
     assert kernel_answer(out) is True
 
+    # the DFS from vertex 0 is a Hamiltonian path, and 3 internal vertices are allowed
     assert kernel_dual_max(inst(C4, 1, Variant.MAX_LLT)) == Decided(
-        True, "every DFS tree has at least one leaf"
+        True, "DFS tree from vertex 0 has 3 internal vertices"
     )
     assert kernel_dual_max(inst(Graph(3, []), 2, Variant.MAX_LLT)).answer is False
 
@@ -235,7 +253,8 @@ def test_kernel_dual_max_examples():
     out = kernel_dual_max(inst(P4, 1, Variant.DUAL_MAX_LLT))
     assert isinstance(out, Decided) and not out.answer
 
-    out = kernel_dual_max(inst(STAR5, 1, Variant.DUAL_MAX_LLT))
+    # the DFS from leaf 0 has 2 internal vertices, 1 is allowed
+    out = kernel_dual_max(inst(STAR5_AT_5, 1, Variant.DUAL_MAX_LLT))
     assert isinstance(out, Reduced)
     assert internal_profile(out.instance.graph) == {1, 2}
     assert kernel_answer(out) is True
@@ -282,6 +301,41 @@ def test_kernel_outcomes_match_oracle(g):
                 lo, hi = variant.internal_bounds(n, k)
                 assert is_dfs_tree(g, out.tree), (variant, k)
                 assert lo <= out.tree.internal_count() <= hi, (variant, k)
+
+
+def _assert_kernel_dfs_lifts_to_the_input_dfs(g, small_cover, rng):
+    # the kernel front-ends settle by the input's DFS from vertex 0 because
+    # the kernel's own DFS from vertex 0 is that tree with vertices deleted;
+    # any cover will do, so the third one is small_cover plus random vertices
+    first = dfs_any(g, 0)
+    _, matching_cover = greedy_cover(g)
+    extra = {v for v in range(g.vertex_count) if rng.random() < 0.2}
+    deleted = 0
+    for cover in (matching_cover, first.internal_vertices(), small_cover | extra):
+        reduced, trace = reduce_with_cover(g, cover)
+        assert trace.lift(g, dfs_any(reduced, 0)) == first, (g.adjacency, sorted(cover))
+        deleted += trace.unlabeled_deletions
+    return deleted
+
+
+@given(connected_graphs(max_n=8), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_kernel_dfs_lifts_to_the_input_dfs(g, rng):
+    _assert_kernel_dfs_lifts_to_the_input_dfs(g, bf_min_cover(g), rng)
+
+
+def test_kernel_dfs_lifts_to_the_input_dfs_on_atlas_and_shrinking_graphs():
+    rng = random.Random(17)
+    for g in atlas_connected(6) + [STAR5, STAR5_AT_5, star_graph(51)]:
+        _assert_kernel_dfs_lifts_to_the_input_dfs(g, bf_min_cover(g), rng)
+    # planted covers 0..2, relabelled so that they are not the lowest ids
+    deleted = 0
+    for seed in range(10):
+        g = bounded_cover_graph(40, 3, 0.5, seed)
+        ids = rng.sample(range(40), 40)
+        g = Graph(40, [(ids[u], ids[v]) for u, v in g.edges()])
+        deleted += _assert_kernel_dfs_lifts_to_the_input_dfs(g, {ids[0], ids[1], ids[2]}, rng)
+    assert deleted > 0  # common-neighbor trimming took part
 
 
 def test_reduce_with_minimum_cover_also_preserves_profile():

@@ -1,7 +1,7 @@
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from lineal import (
     BudgetExceeded,
@@ -318,27 +318,32 @@ def test_fpt_examples():
 
 
 def test_fpt_decides_cover_variants_on_the_kernel():
-    # the kernel of a 51-vertex star keeps 4 vertices
-    big_star = star_graph(51)
-    d, outcome = solve_dual_fpt_with_kernel(inst(big_star, 50, Variant.MAX_LLT))
+    # the kernel of a 51-vertex star keeps 4 vertices; centred at 50, the DFS
+    # from leaf 0 has 2 internal vertices and max-llt k = 50 allows 1
+    off_centre = Graph(51, [(i, 50) for i in range(50)])
+    d, outcome = solve_dual_fpt_with_kernel(inst(off_centre, 50, Variant.MAX_LLT))
     assert outcome.instance.graph.vertex_count == 4 and outcome.instance.k == 3
-    assert d.answer and is_dfs_tree(big_star, d.witness)
+    assert d.answer and is_dfs_tree(off_centre, d.witness) and d.accepted_tuple == (50,)
     assert len(d.witness.leaf_vertices()) == 50
+    # centred at 0, the DFS from the centre has 1 internal vertex and min-llt
+    # k = 49 asks for 2
+    big_star = star_graph(51)
     d = solve_dual_fpt(inst(big_star, 49, Variant.MIN_LLT))
     assert d.answer and len(d.witness.leaf_vertices()) <= 49
     assert solve_dual_fpt(inst(big_star, 48, Variant.MIN_LLT)).answer is False
 
 
 def test_first_dfs_settles_max_variants_without_a_search():
-    # dual-max k = 35 is at least the first DFS's internal count, and max-llt
-    # k = 60 leaves a 43-vertex kernel: both yes before any tuple is visited
+    # the first DFS's internal count is at most dual-max k = 35 and max-llt
+    # k = 60's 40: the front-end says yes by that tree, before any reduction
     g = bounded_cover_graph(100, 4, 0.3, seed=0)
+    first = dfs_any(g, 0)
     for k, variant in [(35, Variant.DUAL_MAX_LLT), (60, Variant.MAX_LLT)]:
         d, outcome = solve_dual_fpt_with_kernel(inst(g, k, variant), ONE_TUPLE)
-        assert d.answer and d.accepted_tuple is None
-        assert d.reason.startswith("DFS tree of the kernel from vertex 0 has")
-        assert is_dfs_tree(g, d.witness) and _meets(variant, 100, d.witness.internal_count(), k)
-    assert outcome.instance.graph.vertex_count == 43
+        assert isinstance(outcome, Decided) and outcome.tree == first
+        assert d.answer and d.accepted_tuple is None and d.witness == first
+        assert d.reason == f"DFS tree from vertex 0 has {first.internal_count()} internal vertices"
+        assert _meets(variant, 100, first.internal_count(), k)
 
 
 def test_fpt_lifts_witnesses_through_the_kernel():
@@ -380,12 +385,13 @@ def _meets(variant, n, internal, k):
 
 
 @given(connected_graphs(max_n=8))
+@example(Graph(1, []))  # settled by the front-ends' own rules, k = 0..3
 @settings(max_examples=60, deadline=None)
 def test_pipeline_matches_the_profile_on_every_variant(g):
     n = g.vertex_count
     profile = profile_of(g)
     for variant in Variant:
-        for k in range(n + 2):
+        for k in range(n + 3):
             d = solve_dual_fpt(inst(g, k, variant))
             assert d.answer == any(_meets(variant, n, c, k) for c in profile), (
                 g.adjacency, variant, k,
