@@ -152,8 +152,12 @@ def _is_dimacs_comment(raw: str, parts: list[str]) -> bool:
 
 def _assemble(n: int, pairs: list[list[str]], rows: list[int]) -> LoadedGraph:
     ids = dict.fromkeys(chain.from_iterable(pairs))  # distinct labels, first appearance first
-    if all(_as_id(lab, n) is not None for lab in ids):
-        ids, labels = {lab: int(lab) for lab in ids}, tuple(map(str, range(n)))
+    try:
+        values = list(map(int, ids))
+    except ValueError:  # a label int() refuses: the labels are opaque
+        values = None
+    if values is not None and (not values or min(values) >= 0 and max(values) < n):
+        ids, labels = dict(zip(ids, values)), tuple(map(str, range(n)))
     else:
         if len(ids) > n:
             extra = list(ids)[n]
@@ -170,14 +174,6 @@ def _assemble(n: int, pairs: list[list[str]], rows: list[int]) -> LoadedGraph:
             i += 1
         labels = tuple(ids)
     return _build(labels, [(ids[a], ids[b]) for a, b in pairs], rows, pairs)
-
-
-def _as_id(label: str, n: int) -> int | None:
-    try:
-        value = int(label)
-    except ValueError:
-        return None
-    return value if 0 <= value < n else None
 
 
 def _build(labels, edges, rows, written=None) -> LoadedGraph:

@@ -3,7 +3,8 @@
 The four variants ask for at least lo (min-llt, dual-min) or at most hi
 (max-llt, dual-max) internal vertices (`Variant.internal_bounds`). One
 front-end serves each direction, under the name of its dual variant. Both
-settle yes by the input's DFS tree from vertex 0; a kernel's lifts back to it.
+end in the input's DFS from vertex 0 (the at-most one after its no-rules,
+cheapest first): it finds a disconnected graph, or its tree may settle yes.
 
 The core reduction takes a connected graph together with a vertex cover of
 size s and shrinks it to at most s^2(s-1)+3s vertices while preserving, for
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
 
-from .graphs import Graph, greedy_cover, is_connected
+from .graphs import Graph, greedy_cover
 from .trees import AncestorIndex, RootedSpanningTree, dfs_any
 
 
@@ -217,6 +218,8 @@ def kernel_dual_min(inst: ProblemInstance) -> KernelOutcome:
     g = inst.graph
     lo, _ = inst.variant.internal_bounds(g.vertex_count, inst.k)
     t = dfs_any(g, 0)
+    if len(t.parent) < g.vertex_count:
+        return _DISCONNECTED
     cover = t.internal_vertices()
     if len(cover) >= lo:
         return Decided(True, f"DFS tree from vertex 0 has {len(cover)} internal vertices", tree=t)
@@ -229,25 +232,29 @@ def kernel_dual_min(inst: ProblemInstance) -> KernelOutcome:
 def kernel_dual_max(inst: ProblemInstance) -> KernelOutcome:
     """Kernelize "at most hi internal vertices": dual-max, and max-llt.
 
-    Internal vertices form a vertex cover, so a greedy maximal matching of
-    more than hi edges is a no. So are more than hi vertices of degree above
-    hi: a leaf's neighbors are all its ancestors, which are internal, so
-    each such vertex is internal. Only then, a DFS tree from vertex 0 with
-    at most hi internal vertices is a yes; otherwise the matching's ends
-    (at most 2hi) drive the reduction.
+    hi < 0 (max-llt, k > n) is a no. Then, cheapest first: more than hi
+    vertices of degree above hi is a no, as a leaf's neighbors are all its
+    ancestors, which are internal. Internal vertices form a vertex cover, so
+    a greedy maximal matching of more than hi edges is a no. Only then, a DFS
+    tree from vertex 0 with at most hi internal vertices is a yes; otherwise
+    the matching's ends (at most 2hi) drive the reduction.
     """
     if (trivial := _trivial(inst, at_least=False)) is not None:
         return trivial
     g = inst.graph
     _, hi = inst.variant.internal_bounds(g.vertex_count, inst.k)
+    if hi < 0:
+        return Decided(False, f"more leaves (k = {inst.k}) than vertices (n = {g.vertex_count})")
+    high = sum(d > hi for d in map(len, g.adjacency))
+    if high > hi:
+        return Decided(False, f"{high} vertices of degree above {hi} must all be internal")
     matching, cover = greedy_cover(g)
     if len(matching) > hi:
         reason = f"maximal matching of size {len(matching)} needs more than {hi} internal vertices"
         return Decided(False, reason)
-    high = sum(d > hi for d in map(len, g.adjacency))
-    if high > hi:
-        return Decided(False, f"{high} vertices of degree above {hi} must all be internal")
     t = dfs_any(g, 0)
+    if len(t.parent) < g.vertex_count:
+        return _DISCONNECTED
     if (ic := t.internal_count()) <= hi:
         return Decided(True, f"DFS tree from vertex 0 has {ic} internal vertices", tree=t)
     reduced, trace = reduce_with_cover(g, cover)
@@ -256,9 +263,7 @@ def kernel_dual_max(inst: ProblemInstance) -> KernelOutcome:
 
 def kernelize(inst: ProblemInstance) -> KernelOutcome:
     """Kernelize any variant through the front-end of its direction."""
-    if inst.variant.at_least:
-        return kernel_dual_min(inst)
-    return kernel_dual_max(inst)
+    return (kernel_dual_min if inst.variant.at_least else kernel_dual_max)(inst)
 
 
 def _shrunk(inst: ProblemInstance, reduced: Graph, trace: ReductionTrace) -> Reduced:
@@ -270,14 +275,14 @@ def _shrunk(inst: ProblemInstance, reduced: Graph, trace: ReductionTrace) -> Red
     return Reduced(ProblemInstance(reduced, k, inst.variant), trace)
 
 
+_DISCONNECTED = Decided(False, "disconnected graph has no spanning tree")
+
+
 def _trivial(inst: ProblemInstance, at_least: bool) -> Decided | None:
-    """Check the instance's direction, then settle the empty graph and
-    disconnected graphs as no; None for every other graph, one vertex too."""
+    """Check the instance's direction, then settle the empty graph as no;
+    None for every other graph (the front-ends' DFS finds disconnected ones)."""
     if inst.variant.at_least is not at_least:
         raise ValueError(f"{inst.variant.value} belongs to the other kernel front-end")
-    g = inst.graph
-    if g.vertex_count == 0:
+    if inst.graph.vertex_count == 0:
         return Decided(False, "empty graph has no spanning tree")
-    if not is_connected(g):
-        return Decided(False, "disconnected graph has no spanning tree")
     return None

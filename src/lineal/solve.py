@@ -244,9 +244,9 @@ def _tuple_search(g: Graph, k: int, variant: Variant, budget: SolverBudget):
 
     def hopeless(inside: int, shut: int, linked: int) -> bool:
         """No accepting tuple extends the prefix, by the counting bounds."""
-        if cov:
+        if all_internal:  # without a cover within the limit there is no bound
             dead = sum(1 for c in cov if closed[c] & shut and not inside >> c & 1)
-            return 2 * len(cov) - (in_cov >> order[0] & 1) - linked - dead < k
+            return bool(cov) and 2 * len(cov) - (in_cov >> order[0] & 1) - linked - dead < k
         left = in_high & ~inside
         return left.bit_count() > k - len(order) or any(
             closed[v] & shut for v in high if left >> v & 1

@@ -227,7 +227,8 @@ def tree_respecting_ordering(
 
 
 def dfs_any(g: Graph, root: int) -> RootedSpanningTree:
-    """The DFS tree from `root` exploring neighbors in ascending id order."""
+    """The DFS tree from `root` exploring neighbors in ascending id order; it
+    covers the root's component, so on a disconnected graph it is partial."""
     n = g.vertex_count
     if not (0 <= root < n):
         raise ValueError(f"root {root} out of range")
@@ -248,8 +249,6 @@ def dfs_any(g: Graph, root: int) -> RootedSpanningTree:
                 break
         else:
             stack.pop()
-    if len(order) != n:
-        raise ValueError("graph is disconnected; DFS covers only one component")
     return RootedSpanningTree(root, parent, tuple(order))
 
 

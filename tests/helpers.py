@@ -33,6 +33,13 @@ STAR5 = Graph(6, [(0, i) for i in range(1, 6)])  # K_{1,5}, center 0
 STAR5_AT_5 = Graph(6, [(i, 5) for i in range(5)])  # K_{1,5}, center 5
 PAW = Graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)])  # triangle plus pendant on 0
 NET = Graph(6, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5)])  # triangle, a pendant on each corner
+DISCONNECTED = [
+    Graph(2, []),
+    Graph(3, [(0, 1)]),
+    Graph(4, [(0, 1), (2, 3)]),
+    Graph(5, [(0, 1), (0, 2), (0, 3)]),
+    Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)]),
+]
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +61,21 @@ def bf_is_connected(g: Graph) -> bool:
         par[find(u)] = find(v)
     roots = {find(v) for v in range(g.vertex_count)}
     return len(roots) == 1
+
+
+def reference_label_ids(labels, n: int) -> dict[str, int] | None:
+    """Each written label's vertex id when every label, read by int() on its
+    own, is an integer in 0..n-1; None when the labels are opaque."""
+    ids = {}
+    for lab in labels:
+        try:
+            value = int(lab)
+        except ValueError:
+            return None
+        if not 0 <= value < n:
+            return None
+        ids[lab] = value
+    return ids
 
 
 def is_vertex_cover(g: Graph, s) -> bool:
@@ -238,3 +260,22 @@ def connected_graphs(draw, min_n: int = 1, max_n: int = 8):
         if flag:
             edges.add((u, v))
     return Graph(n, sorted(edges))
+
+
+@st.composite
+def disconnected_graphs(draw, max_n: int = 8):
+    """Two or more connected pieces, their vertex ids shuffled together, so
+    vertex 0 lies in any of them."""
+    pieces = [draw(connected_graphs(max_n=max_n - 1))]
+    while True:
+        room = max_n - sum(p.vertex_count for p in pieces)
+        pieces.append(draw(connected_graphs(max_n=room)))
+        if room == pieces[-1].vertex_count or not draw(st.booleans()):
+            break
+    n = sum(p.vertex_count for p in pieces)
+    ids = draw(st.permutations(range(n)))
+    edges, offset = [], 0
+    for p in pieces:
+        edges += [(ids[offset + u], ids[offset + v]) for u, v in p.edges()]
+        offset += p.vertex_count
+    return Graph(n, edges)

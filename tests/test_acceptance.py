@@ -37,6 +37,7 @@ from lineal import (
 from lineal.generate import bounded_cover_graph, star_graph
 
 from helpers import (
+    DISCONNECTED,
     all_partial_trees,
     atlas_connected,
     bf_min_cover,
@@ -243,15 +244,8 @@ def test_criterion_8_orderings_and_extendability():
         for t in enumerate_dfs_trees(g):
             assert tree_respecting_ordering(g, t.order) == t
 
-    disconnected = [
-        Graph(2, []),
-        Graph(3, [(0, 1)]),
-        Graph(4, [(0, 1), (2, 3)]),
-        Graph(5, [(0, 1), (0, 2), (0, 3)]),
-        Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)]),
-    ]
     partials_checked = 0
-    small = atlas6() + [g for g in rand789() if g.vertex_count == 7][:10] + disconnected
+    small = atlas6() + [g for g in rand789() if g.vertex_count == 7][:10] + DISCONNECTED
     for g in small:
         by_root: dict[int, list] = {}
         for t in enumerate_dfs_trees(g):

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import tempfile
 import time
 from itertools import combinations
@@ -31,9 +32,9 @@ def star_file(tmp_path):
 
 
 @pytest.fixture()
-def p4_file(tmp_path):
-    path = tmp_path / "p4.txt"
-    path.write_text("4 3\n0 1\n1 2\n2 3\n")
+def p6_file(tmp_path):
+    path = tmp_path / "p6.txt"
+    path.write_text("6 5\n0 1\n1 2\n2 3\n3 4\n4 5\n")
     return str(path)
 
 
@@ -56,12 +57,13 @@ def test_solve_dual_min_yes_with_witness(capsys, c4_file):
     assert set(rep["witness"]["parents"]) == {"0", "1", "2", "3"}
 
 
-def test_kernelize_decided_no(capsys, p4_file):
-    code, out, _ = run(capsys, "kernelize", p4_file, "--variant", "dual-max", "-k", "1")
+def test_kernelize_decided_no(capsys, p6_file):
+    # no vertex of P6 has degree above 2, but its greedy matching has 3 edges
+    code, out, _ = run(capsys, "kernelize", p6_file, "--variant", "dual-max", "-k", "2")
     assert code == 1
     rep = report_of(out)
     assert rep["outcome"] == "no"
-    assert "matching" in rep["reason"]
+    assert rep["reason"] == "maximal matching of size 3 needs more than 2 internal vertices"
 
 
 def test_dual_max_high_degree_rule_answers_no(capsys, tmp_path):
@@ -74,6 +76,21 @@ def test_dual_max_high_degree_rule_answers_no(capsys, tmp_path):
         assert code == 1
         rep = report_of(out)
         assert (rep["outcome"], rep["reason"]) == ("no", reason)
+
+
+def test_max_llt_above_the_vertex_count_answers_no(capsys, tmp_path):
+    # more leaves asked for than there are vertices: the reason names k and
+    # n, never a negative bound on the internal vertices
+    for text, n, k in [("3 2\n0 1\n1 2\n", 3, 5), ("1 0\n", 1, 2)]:
+        path = tmp_path / f"n{n}.txt"
+        path.write_text(text)
+        code, out, _ = run(capsys, "solve", str(path), "--variant", "max-llt", "-k", str(k))
+        assert code == 1
+        rep = report_of(out)
+        assert (rep["outcome"], rep["reason"]) == (
+            "no", f"more leaves (k = {k}) than vertices (n = {n})"
+        )
+        assert not re.search(r"-\d", rep["reason"])
 
 
 def test_kernelize_reduced_writes_kernel(capsys, tmp_path):

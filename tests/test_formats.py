@@ -1,12 +1,13 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lineal import (
     DuplicateEdgeError,
     Graph,
+    GraphParseError,
     LabelOverflowError,
     MalformedLineError,
     RootedSpanningTree,
@@ -17,7 +18,7 @@ from lineal import (
     witness_to_jsonable,
 )
 
-from helpers import C4, K3, P3, atlas_connected, connected_graphs
+from helpers import C4, K3, P3, atlas_connected, connected_graphs, reference_label_ids
 
 
 def test_parse_edgelist_p3():
@@ -151,6 +152,44 @@ def test_parsed_graph_equals_the_checked_construction(doc):
             assert g.adjacent(u, v) == expected.adjacent(u, v) == (v in expected.adjacency[u])
 
 
+@st.composite
+def labelled_edge_lists(draw, max_n: int = 6):
+    """n and an edge list whose labels mix the numerals 0..n (n is one past
+    the last id) with strings int() reads in other ways, or not at all."""
+    n = draw(st.integers(1, max_n))
+    pool = [str(i) for i in range(n + 1)] + ["01", "+1", "-0", "1_0", "\u0663", "-1", "x"]
+    label = st.sampled_from(pool)
+    return n, draw(st.lists(st.tuples(label, label).filter(lambda p: p[0] != p[1]), max_size=8))
+
+
+@given(labelled_edge_lists())
+@example((11, [("1_0", "01"), ("+1", "-0")]))  # ids 10, 1 and 0
+@example((4, [("\u0663", "+1"), ("3", "0")]))  # the Arabic-Indic 3 is n - 1
+@example((4, [("4", "0")]))  # n is out of range, so the labels are opaque
+@example((4, [("+1", "1")]))  # two spellings of id 1: a self-loop
+@settings(max_examples=200, deadline=None)
+def test_numeric_labels_are_read_as_int_reads_each(doc):
+    n, pairs = doc
+    text = "\n".join([f"{n} {len(pairs)}"] + [f"{a} {b}" for a, b in pairs]) + "\n"
+    distinct = list(dict.fromkeys(lab for pair in pairs for lab in pair))
+    ids = reference_label_ids(distinct, n)
+    numeric = ids is not None
+    if not numeric:  # opaque labels take ids in order of first appearance
+        ids = {lab: i for i, lab in enumerate(distinct)}
+    edges = {frozenset((ids[a], ids[b])) for a, b in pairs}
+    if len(ids) > n or len(edges) < len(pairs) or any(len(e) == 1 for e in edges):
+        with pytest.raises(GraphParseError):  # too many labels, a repeat or a loop
+            parse_graph(text)
+        return
+    loaded = parse_graph(text)
+    if numeric:
+        assert loaded.labels == tuple(map(str, range(n)))
+    else:
+        assert loaded.labels[: len(distinct)] == tuple(distinct)
+        assert len(loaded.labels) == n
+    assert loaded.graph == Graph(n, [(ids[a], ids[b]) for a, b in pairs])
+
+
 def test_roundtrip_both_formats():
     for g in atlas_connected(5):
         for fmt in ("edgelist", "dimacs"):
@@ -180,8 +219,6 @@ def test_witness_roundtrip():
 
 
 def test_witness_rejects_unknown_labels():
-    from lineal import GraphParseError
-
     loaded = parse_graph("2 1\na b\n")
     with pytest.raises(GraphParseError):
         parse_witness('{"root": "z", "parents": {"z": null}}', loaded)

@@ -22,6 +22,7 @@ from lineal import (
     solve_exact_oracle,
 )
 
+import lineal.kernel
 from lineal.generate import bounded_cover_graph, star_graph
 
 from helpers import (
@@ -250,8 +251,12 @@ def test_kernel_dual_min_examples():
 
 
 def test_kernel_dual_max_examples():
-    out = kernel_dual_max(inst(P4, 1, Variant.DUAL_MAX_LLT))
-    assert isinstance(out, Decided) and not out.answer
+    # P4's matching of 2 edges and its 2 vertices of degree 2 both say no;
+    # the degree count runs first, and no matching is built
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lineal.kernel, "greedy_cover", None)
+        out = kernel_dual_max(inst(P4, 1, Variant.DUAL_MAX_LLT))
+    assert out == Decided(False, "2 vertices of degree above 1 must all be internal")
 
     # the DFS from leaf 0 has 2 internal vertices, 1 is allowed
     out = kernel_dual_max(inst(STAR5_AT_5, 1, Variant.DUAL_MAX_LLT))

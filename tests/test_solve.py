@@ -2,6 +2,7 @@ import time
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lineal import (
     BudgetExceeded,
@@ -13,6 +14,7 @@ from lineal import (
     SolverBudget,
     Variant,
     dfs_any,
+    greedy_cover,
     is_dfs_tree,
     kernelize,
     solve_dual_fpt,
@@ -27,6 +29,7 @@ from lineal.solve import _min_cover
 
 from helpers import (
     C4,
+    DISCONNECTED,
     K3,
     P3,
     P4,
@@ -34,8 +37,10 @@ from helpers import (
     STAR5,
     atlas_connected,
     bf_first_accepted_tuple,
+    bf_is_connected,
     bf_min_cover,
     connected_graphs,
+    disconnected_graphs,
     profile_of,
     random_connected,
 )
@@ -384,21 +389,43 @@ def _meets(variant, n, internal, k):
     }[variant]
 
 
-@given(connected_graphs(max_n=8))
+def _no_rule_fires(g, variant, k):
+    """Does none of the at-most front-end's no-rules (k above n, high degree,
+    greedy matching) fire before its DFS? The at-least one has none."""
+    if variant.at_least:
+        return True
+    _, hi = variant.internal_bounds(g.vertex_count, k)
+    high = sum(len(a) > hi for a in g.adjacency)
+    return 0 <= hi and high <= hi and len(greedy_cover(g)[0]) <= hi
+
+
+@given(st.one_of(connected_graphs(max_n=8), disconnected_graphs(max_n=8)))
 @example(Graph(1, []))  # settled by the front-ends' own rules, k = 0..3
-@settings(max_examples=60, deadline=None)
+@example(DISCONNECTED[0])
+@example(DISCONNECTED[1])
+@example(DISCONNECTED[2])
+@example(DISCONNECTED[3])
+@example(DISCONNECTED[4])
+@settings(max_examples=80, deadline=None)
 def test_pipeline_matches_the_profile_on_every_variant(g):
+    # a disconnected graph has an empty profile: every answer is no, and the
+    # front-ends' DFS from vertex 0 finds it unless a no-rule fires first
     n = g.vertex_count
     profile = profile_of(g)
+    connected = bf_is_connected(g)
     for variant in Variant:
         for k in range(n + 3):
-            d = solve_dual_fpt(inst(g, k, variant))
+            d, _ = solve_dual_fpt_with_kernel(inst(g, k, variant))
             assert d.answer == any(_meets(variant, n, c, k) for c in profile), (
                 g.adjacency, variant, k,
             )
             if d.answer:
                 assert is_dfs_tree(g, d.witness)
                 assert _meets(variant, n, d.witness.internal_count(), k)
+            if not connected and _no_rule_fires(g, variant, k):
+                assert d.reason == "disconnected graph has no spanning tree", (
+                    g.adjacency, variant, k,
+                )
 
 
 # graphs whose cover kernels lose vertices: stars, and planted covers of size at most 3

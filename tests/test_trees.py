@@ -129,9 +129,15 @@ def test_dfs_any_examples():
     assert t.internal_count() == 3
 
 
-def test_dfs_any_rejects_disconnected():
+def test_dfs_any_covers_the_root_component():
+    # on a disconnected graph the tree is partial: the root's component only
+    t = dfs_any(Graph(2, []), 0)
+    assert (t.root, t.parent, t.order) == (0, {0: None}, (0,))
+    t = dfs_any(Graph(5, [(0, 3), (1, 2), (3, 4)]), 4)
+    assert (t.parent, t.order) == ({4: None, 3: 4, 0: 3}, (4, 3, 0))
+    assert t.internal_vertices() == {3, 4}
     with pytest.raises(ValueError):
-        dfs_any(Graph(2, []), 0)
+        dfs_any(Graph(2, []), 2)
 
 
 def test_internal_vertices_examples():
