@@ -57,13 +57,9 @@ from .trees import (
     dfs_any,
     dfs_runs,
     dfs_tree_violation,
-    enumerate_dfs_trees,
-    extension,
     extension_all_internal,
     extension_all_leaves,
-    internal_profile,
     is_dfs_tree,
-    tree_respecting_ordering,
 )
 
 __version__ = "0.1.0"

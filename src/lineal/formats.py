@@ -1,7 +1,8 @@
 """Graph file formats (edge list and DIMACS) and the witness exchange format.
 
 Input labels are opaque strings mapped injectively to dense 0-based ids;
-when every label is already an integer in range, ids are taken verbatim.
+when every label is the canonical numeral `str(i)` of an id i below n, ids
+are taken verbatim, so "01" and "1" always name two vertices.
 """
 from __future__ import annotations
 
@@ -152,12 +153,10 @@ def _is_dimacs_comment(raw: str, parts: list[str]) -> bool:
 
 def _assemble(n: int, pairs: list[list[str]], rows: list[int]) -> LoadedGraph:
     ids = dict.fromkeys(chain.from_iterable(pairs))  # distinct labels, first appearance first
-    try:
-        values = list(map(int, ids))
-    except ValueError:  # a label int() refuses: the labels are opaque
-        values = None
-    if values is not None and (not values or min(values) >= 0 and max(values) < n):
-        ids, labels = dict(zip(ids, values)), tuple(map(str, range(n)))
+    numerals = tuple(map(str, range(n)))
+    verbatim = dict(zip(numerals, range(n)))
+    if verbatim.keys() >= ids.keys():  # every label is the numeral of an id below n
+        ids, labels = verbatim, numerals
     else:
         if len(ids) > n:
             extra = list(ids)[n]
@@ -173,23 +172,22 @@ def _assemble(n: int, pairs: list[list[str]], rows: list[int]) -> LoadedGraph:
             ids.setdefault(str(i), len(ids))
             i += 1
         labels = tuple(ids)
-    return _build(labels, [(ids[a], ids[b]) for a, b in pairs], rows, pairs)
+    return _build(labels, [(ids[a], ids[b]) for a, b in pairs], rows)
 
 
-def _build(labels, edges, rows, written=None) -> LoadedGraph:
+def _build(labels, edges, rows) -> LoadedGraph:
     """Check `edges`, (u, v) pairs over dense ids written on lines `rows`, and
     adopt them as a graph.
 
     This is the only check of the parsed edges: the graph is built through
-    the private constructor. Error text names an endpoint as it was written,
-    from `written` (the same edges as label pairs) when given, else by its
-    label.
+    the private constructor. Error text names an endpoint by its label,
+    which in an edge list is the label as written.
     """
     neighbors: list[set[int]] = [set() for _ in labels]
     for i, (u, v) in enumerate(edges):
         nu = neighbors[u]
         if u == v or v in nu:
-            a, b = written[i] if written else (labels[u], labels[v])
+            a, b = labels[u], labels[v]
             if u == v:
                 raise SelfLoopError(f"self-loop at {a!r}", rows[i])
             raise DuplicateEdgeError(f"duplicate edge {a!r} {b!r}", rows[i])

@@ -77,7 +77,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, replace
 
-from .graphs import Graph, greedy_cover, is_connected
+from .graphs import Graph, greedy_cover
 from .kernel import Decided, KernelOutcome, ProblemInstance, Variant, kernelize
 from .trees import (
     ORACLE_LIMIT_DEFAULT,
@@ -343,14 +343,22 @@ def _xp(g: Graph, k: int, variant: Variant, budget: SolverBudget | None) -> Deci
 
     With k <= 0 or n <= k every DFS tree has the same answer (its internal
     count is at most n - 1, and it is 0 only on one vertex), so one DFS
-    decides.
+    decides, if it spans g. The search needs no connectivity test: a
+    complete tuple spans one tree, so on a disconnected g some component
+    has no neighbor in it, and `chain_end` of that empty neighborhood is
+    None in `extension_all_internal`; `extension_all_leaves` refuses the
+    component too, as an edge outside the tuple or an isolated vertex.
+    That no comes only after every tuple; the pipeline's kernels are connected.
     """
-    if g.vertex_count == 0 or not is_connected(g):
+    n = g.vertex_count
+    if n == 0:
         return Decision(False)
-    if k <= 0 or g.vertex_count <= k:
+    if k <= 0 or n <= k:
         t = dfs_any(g, 0)
-        lo, hi = variant.internal_bounds(g.vertex_count, k)
-        return Decision(True, witness=t) if lo <= t.internal_count() <= hi else Decision(False)
+        lo, hi = variant.internal_bounds(n, k)
+        if len(t.parent) == n and lo <= t.internal_count() <= hi:
+            return Decision(True, witness=t)
+        return Decision(False)
     hit = _tuple_search(g, k, variant, budget or SolverBudget())
     if hit is None:
         return Decision(False)
@@ -451,21 +459,19 @@ def solve_exact_oracle(
     budget = budget or SolverBudget()
     g, k = inst.graph, inst.k
     runs = dfs_runs(g, limit=limit)
-    n = g.vertex_count
-    if n == 0 or not is_connected(g):
-        return Decision(False, reason=_EXHAUSTIVE)
-    lo, hi = inst.variant.internal_bounds(n, k)
+    lo, hi = inst.variant.internal_bounds(g.vertex_count, k)
     deadline = time.perf_counter() + budget.time_limit
     count = 0
-    # Walk the raw DFS executions rather than the deduplicated tree stream:
-    # duplicate runs rebuild the same tree, so the answer and the first
-    # qualifying witness are unchanged, and the time budget can be checked
-    # between runs even when duplicates vastly outnumber distinct trees.
+    # Walk the raw DFS executions rather than distinct trees: duplicate runs
+    # rebuild the same tree, so the answer and the first qualifying witness
+    # are unchanged, and the time budget can be checked between runs even
+    # when duplicates vastly outnumber distinct trees. An empty or
+    # disconnected graph has no run, so the walk itself says no.
     for root, parent, order, internal in runs:
         count += 1
         if not (count & 255) and time.perf_counter() > deadline:
             raise BudgetExceeded("time")
         if lo <= internal <= hi:
-            witness = RootedSpanningTree(root, {v: parent[v] for v in order}, tuple(order))
+            witness = RootedSpanningTree(root, {v: parent[v] for v in order})
             return Decision(True, witness=witness, reason=_EXHAUSTIVE)
     return Decision(False, reason=_EXHAUSTIVE)

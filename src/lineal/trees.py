@@ -2,26 +2,25 @@
 
 A rooted spanning tree T of a graph G is a DFS tree iff every edge of G not
 in T joins an ancestor-descendant pair of T. The predicates here also cover
-partial trees (covering a subset of V(G)). Three builders extend a partial
-tree to a full DFS tree, or say that none exists: `extension` keeps only
-the partial tree, `extension_all_internal` also keeps every covered vertex
-internal and `extension_all_leaves` makes every uncovered vertex a leaf.
-The tuple-guessing solvers call the last two on each complete tuple.
+partial trees (covering a subset of V(G)). Two builders extend a partial
+tree to a full DFS tree, or say that none exists:
+`extension_all_internal` keeps every covered vertex internal and
+`extension_all_leaves` makes every uncovered vertex a leaf. The
+tuple-guessing solvers call them on each complete tuple.
 
-The exhaustive oracle (`enumerate_dfs_trees`, `internal_profile`, and
-`solve.solve_exact_oracle` outside this module) walks every DFS execution
-from every root through `dfs_runs`, which yields each run with its root and
-internal-vertex count. `dfs_runs` holds the one size check: it refuses
-graphs above a vertex limit, ORACLE_LIMIT_DEFAULT unless the caller raises
-it.
+The exhaustive oracle walk, `dfs_runs`, yields every DFS execution from
+every root with its internal-vertex count; its one consumer in the
+package is `solve.solve_exact_oracle`. `dfs_runs` holds the one size check:
+it refuses graphs above a vertex limit, ORACLE_LIMIT_DEFAULT unless the
+caller raises it.
 
 Everything in this module is a pure function of immutable inputs; the
-enumeration generators are single-consumer but independent enumerations may
-run concurrently.
+walk's generator is single-consumer but independent walks may run
+concurrently.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .graphs import Graph, components_outside
@@ -46,13 +45,11 @@ class RootedSpanningTree:
 
     ``parent[root] is None``; every other covered vertex maps to its parent.
     The covered set may be a proper subset of the host graph's vertices
-    (a partial tree). ``order`` records one discovery order that produces
-    the tree; it is provenance only and does not take part in equality.
+    (a partial tree).
     """
 
     root: int
     parent: dict[int, int | None]
-    order: tuple[int, ...] | None = field(default=None, compare=False)
 
     def internal_vertices(self) -> frozenset[int]:
         """Covered vertices with at least one child.
@@ -184,48 +181,6 @@ def is_dfs_tree(g: Graph, t: RootedSpanningTree) -> bool:
     return dfs_tree_violation(g, t) is None
 
 
-def tree_respecting_ordering(
-    g: Graph, ordering: Iterable[int]
-) -> RootedSpanningTree | None:
-    """The unique DFS tree discovered exactly in `ordering`, or None if there is none.
-
-    Operates on the subgraph induced by the ordering's vertex set. Simulates
-    the only possible DFS run: the stack pops while its top has no
-    undiscovered neighbor inside the set, and the next vertex must attach to
-    the surviving top. Linear in vertices plus edges.
-    """
-    order = tuple(ordering)
-    if not order:
-        raise ValueError("ordering must be nonempty")
-    members = set(order)
-    if len(members) != len(order):
-        raise ValueError("ordering has repeated vertices")
-    for v in order:
-        if not (0 <= v < g.vertex_count):
-            raise ValueError(f"vertex {v} out of range")
-    root = order[0]
-    parent: dict[int, int | None] = {root: None}
-    stack = [root]
-    adj = g.adjacency
-    scan = {}  # per-vertex resume position into its adjacency list
-    for w in order[1:]:
-        while stack:
-            v = stack[-1]
-            av = adj[v]
-            i = scan.get(v, 0)
-            while i < len(av) and (av[i] in parent or av[i] not in members):
-                i += 1
-            scan[v] = i
-            if i < len(av):
-                break
-            stack.pop()
-        if not stack or not g.adjacent(stack[-1], w):
-            return None
-        parent[w] = stack[-1]
-        stack.append(w)
-    return RootedSpanningTree(root, parent, order)
-
-
 def dfs_any(g: Graph, root: int) -> RootedSpanningTree:
     """The DFS tree from `root` exploring neighbors in ascending id order; it
     covers the root's component, so on a disconnected graph it is partial."""
@@ -236,7 +191,6 @@ def dfs_any(g: Graph, root: int) -> RootedSpanningTree:
     seen = bytearray(n)
     seen[root] = 1
     parent: dict[int, int | None] = {root: None}
-    order = [root]
     stack = [(root, iter(adj[root]))]
     while stack:
         v, it = stack[-1]
@@ -244,12 +198,11 @@ def dfs_any(g: Graph, root: int) -> RootedSpanningTree:
             if not seen[w]:
                 seen[w] = 1
                 parent[w] = v
-                order.append(w)
                 stack.append((w, iter(adj[w])))
                 break
         else:
             stack.pop()
-    return RootedSpanningTree(root, parent, tuple(order))
+    return RootedSpanningTree(root, parent)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +220,8 @@ def _hang_components(
 ) -> RootedSpanningTree | None:
     """Grow t by hanging each outside component below the deepest vertex of
     its neighborhood, via a DFS of the component from its lowest vertex
-    adjacent to that anchor; None when some neighborhood is not a chain.
+    adjacent to that anchor; None when some neighborhood is not a chain,
+    an empty one (a component that does not touch t) included.
     """
     parent = dict(t.parent)
     inside = t.parent
@@ -296,24 +250,14 @@ def _hang_components(
     return RootedSpanningTree(t.root, parent)
 
 
-def extension(g: Graph, t: RootedSpanningTree) -> RootedSpanningTree | None:
-    """A DFS tree of g with t's root that contains t, or None when there is none.
-
-    One exists iff t is a DFS tree of the subgraph induced on its covered
-    set and the neighborhood of every outside component is a nonempty set
-    on one root-to-leaf path of t. Raises InvalidTreeError when t is not a
-    tree over g's edges.
-    """
-    idx = _indexed(g, t)
-    return None if idx is None else _hang_components(g, t, idx)
-
-
 def extension_all_internal(g: Graph, t: RootedSpanningTree) -> RootedSpanningTree | None:
     """A DFS tree of g that contains t with every covered vertex internal, or None.
 
-    Adds to `extension` that every leaf of t has a neighbor outside the
-    covered set: the component holding that neighbor hangs below the leaf or
-    below a descendant of it, so the leaf gains a child.
+    One exists iff t is a DFS tree of the subgraph induced on its covered
+    set, the neighborhood of every outside component is a nonempty set on
+    one root-to-leaf path of t, and every leaf of t has a neighbor outside
+    the covered set: the component holding that neighbor hangs below the
+    leaf or below a descendant of it, so the leaf gains a child.
     """
     idx = _indexed(g, t)
     if idx is None:
@@ -327,9 +271,10 @@ def extension_all_internal(g: Graph, t: RootedSpanningTree) -> RootedSpanningTre
 def extension_all_leaves(g: Graph, t: RootedSpanningTree) -> RootedSpanningTree | None:
     """A DFS tree of g that contains t with every uncovered vertex a leaf, or None.
 
-    One exists iff t extends and the uncovered set is independent with each
-    uncovered vertex's (nonempty) neighborhood on one root-to-leaf path of
-    t; each uncovered vertex then goes under its deepest neighbor.
+    One exists iff t is a DFS tree of the subgraph induced on its covered
+    set and the uncovered set is independent with each uncovered vertex's
+    (nonempty) neighborhood on one root-to-leaf path of t; each uncovered
+    vertex then goes under its deepest neighbor.
     """
     idx = _indexed(g, t)
     if idx is None:
@@ -349,7 +294,7 @@ def extension_all_leaves(g: Graph, t: RootedSpanningTree) -> RootedSpanningTree 
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive enumeration oracle.
+# Exhaustive oracle walk.
 
 def _forced_runs(g: Graph):
     """Every complete DFS execution from every root, one per discovery order.
@@ -360,7 +305,8 @@ def _forced_runs(g: Graph):
     with a child. Consumers must copy what they keep. Distinct runs can
     build the same tree, so callers wanting distinct trees must deduplicate;
     `tuple(parent)` identifies the tree, root included. Nothing is yielded
-    when g is disconnected.
+    when g is disconnected: the walk returns at the first run that stalls
+    before it spans, as the root's component is then finished.
 
     Each step branches over the undiscovered neighbors, ascending, of the
     deepest stack vertex that has any. The DFS stack is always the tree path
@@ -399,6 +345,8 @@ def _forced_runs(g: Graph):
                         order.append(v)  # placeholder for the frame's candidate
                         break
                     v = parent[v]
+                else:
+                    return  # the run stalled before it spans: g is disconnected
             while frames:
                 frame = frames[-1]
                 left = frame[1]
@@ -430,33 +378,3 @@ def dfs_runs(g: Graph, *, limit: int) -> Iterator[tuple[int, list[int | None], l
     if g.vertex_count > limit:
         raise OracleLimitError(f"graph has {g.vertex_count} vertices, oracle limit is {limit}")
     return _forced_runs(g)
-
-
-def enumerate_dfs_trees(
-    g: Graph, *, limit: int = ORACLE_LIMIT_DEFAULT
-) -> Iterator[RootedSpanningTree]:
-    """Every DFS tree of g over every root, each (root, parent map) exactly once.
-
-    Branches over all neighbor-exploration orders and deduplicates, since
-    different orders can produce identical trees. Refuses graphs larger than
-    `limit` vertices rather than running for hours.
-    """
-
-    def distinct(runs):
-        seen: set[tuple[int | None, ...]] = set()
-        for root, parent, order, _ in runs:
-            key = tuple(parent)
-            if key not in seen:
-                seen.add(key)
-                yield RootedSpanningTree(root, {v: parent[v] for v in order}, tuple(order))
-
-    return distinct(dfs_runs(g, limit=limit))
-
-
-def internal_profile(g: Graph, *, limit: int = ORACLE_LIMIT_DEFAULT) -> frozenset[int]:
-    """The set of internal-vertex counts realized by DFS trees of g.
-
-    Ground truth for checking that reductions preserve achievable counts
-    exactly. Subject to the same size limit as enumerate_dfs_trees.
-    """
-    return frozenset(internal for _, _, _, internal in dfs_runs(g, limit=limit))

@@ -2,20 +2,24 @@
 
 The oracles here are deliberately independent of the library paths they
 check (plain subset enumeration, union-find connectivity, networkx for
-cross-checks).
+cross-checks). The reference implementations of the tree oracle (the
+forced-order reconstruction, the distinct-tree enumeration and the
+internal-count profile) use only the package's public names.
 """
 from __future__ import annotations
 
 from itertools import combinations, permutations
+from typing import Iterable, Iterator
 
 from hypothesis import strategies as st
 
 from lineal import (
+    ORACLE_LIMIT_DEFAULT,
     Graph,
+    RootedSpanningTree,
+    dfs_runs,
     extension_all_internal,
     extension_all_leaves,
-    internal_profile,
-    tree_respecting_ordering,
 )
 from lineal.generate import gnp_graph
 
@@ -31,7 +35,6 @@ K3 = Graph(3, [(0, 1), (1, 2), (0, 2)])
 STAR3 = Graph(4, [(0, 1), (0, 2), (0, 3)])  # K_{1,3}, center 0
 STAR5 = Graph(6, [(0, i) for i in range(1, 6)])  # K_{1,5}, center 0
 STAR5_AT_5 = Graph(6, [(i, 5) for i in range(5)])  # K_{1,5}, center 5
-PAW = Graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)])  # triangle plus pendant on 0
 NET = Graph(6, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5)])  # triangle, a pendant on each corner
 DISCONNECTED = [
     Graph(2, []),
@@ -64,15 +67,16 @@ def bf_is_connected(g: Graph) -> bool:
 
 
 def reference_label_ids(labels, n: int) -> dict[str, int] | None:
-    """Each written label's vertex id when every label, read by int() on its
-    own, is an integer in 0..n-1; None when the labels are opaque."""
+    """Each written label's vertex id when every label is the canonical
+    numeral str(int(label)) of an integer in 0..n-1; None when the labels
+    are opaque."""
     ids = {}
     for lab in labels:
         try:
             value = int(lab)
         except ValueError:
             return None
-        if not 0 <= value < n:
+        if str(value) != lab or not 0 <= value < n:
             return None
         ids[lab] = value
     return ids
@@ -121,6 +125,78 @@ def bf_first_accepted_tuple(g: Graph, k: int, dual_min: bool) -> tuple[int, ...]
     return None
 
 
+def tree_respecting_ordering(
+    g: Graph, ordering: Iterable[int]
+) -> RootedSpanningTree | None:
+    """The unique DFS tree discovered exactly in `ordering`, or None if there is none.
+
+    Operates on the subgraph induced by the ordering's vertex set. Simulates
+    the only possible DFS run: the stack pops while its top has no
+    undiscovered neighbor inside the set, and the next vertex must attach to
+    the surviving top. Linear in vertices plus edges.
+    """
+    order = tuple(ordering)
+    if not order:
+        raise ValueError("ordering must be nonempty")
+    members = set(order)
+    if len(members) != len(order):
+        raise ValueError("ordering has repeated vertices")
+    for v in order:
+        if not (0 <= v < g.vertex_count):
+            raise ValueError(f"vertex {v} out of range")
+    root = order[0]
+    parent: dict[int, int | None] = {root: None}
+    stack = [root]
+    adj = g.adjacency
+    scan = {}  # per-vertex resume position into its adjacency list
+    for w in order[1:]:
+        while stack:
+            v = stack[-1]
+            av = adj[v]
+            i = scan.get(v, 0)
+            while i < len(av) and (av[i] in parent or av[i] not in members):
+                i += 1
+            scan[v] = i
+            if i < len(av):
+                break
+            stack.pop()
+        if not stack or not g.adjacent(stack[-1], w):
+            return None
+        parent[w] = stack[-1]
+        stack.append(w)
+    return RootedSpanningTree(root, parent)
+
+
+def enumerate_dfs_trees(
+    g: Graph, *, limit: int = ORACLE_LIMIT_DEFAULT
+) -> Iterator[tuple[RootedSpanningTree, tuple[int, ...]]]:
+    """Every DFS tree of g over every root, each (root, parent map) exactly
+    once, next to the discovery order of the first run that builds it.
+
+    Deduplicates `dfs_runs`, since different orders can produce identical
+    trees. A plain function, so `dfs_runs` checks `limit` at the call.
+    """
+
+    def distinct(runs):
+        seen: set[tuple[int | None, ...]] = set()
+        for root, parent, order, _ in runs:
+            key = tuple(parent)
+            if key not in seen:
+                seen.add(key)
+                yield RootedSpanningTree(root, {v: parent[v] for v in order}), tuple(order)
+
+    return distinct(dfs_runs(g, limit=limit))
+
+
+def internal_profile(g: Graph, *, limit: int = ORACLE_LIMIT_DEFAULT) -> frozenset[int]:
+    """The set of internal-vertex counts realized by DFS trees of g.
+
+    Ground truth for checking that reductions preserve achievable counts
+    exactly. Subject to the same size limit as `dfs_runs`.
+    """
+    return frozenset(internal for _, _, _, internal in dfs_runs(g, limit=limit))
+
+
 def reference_dfs_runs(g: Graph, root: int) -> list[tuple[dict, tuple[int, ...]]]:
     """Every complete DFS run from `root` as (parent map, discovery order).
 
@@ -153,8 +229,6 @@ def reference_dfs_runs(g: Graph, root: int) -> list[tuple[dict, tuple[int, ...]]
 def all_partial_trees(g: Graph):
     """Every rooted subtree of g: a connected vertex subset, a spanning tree
     of its induced subgraph, and a choice of root."""
-    from lineal import RootedSpanningTree
-
     n = g.vertex_count
     all_edges = list(g.edges())
     for r in range(1, n + 1):

@@ -21,7 +21,8 @@ from lineal import (
     Reduced,
     Variant,
     dfs_any,
-    enumerate_dfs_trees,
+    extension_all_internal,
+    extension_all_leaves,
     greedy_cover,
     is_dfs_tree,
     kernel_dual_max,
@@ -32,7 +33,6 @@ from lineal import (
     solve_dual_fpt,
     solve_dual_max_xp,
     solve_dual_min_xp,
-    tree_respecting_ordering,
 )
 from lineal.generate import bounded_cover_graph, star_graph
 
@@ -42,8 +42,10 @@ from helpers import (
     atlas_connected,
     bf_min_cover,
     bf_minimal_covers,
+    enumerate_dfs_trees,
     profile_of,
     random_connected,
+    tree_respecting_ordering,
 )
 
 KS = range(0, 6)
@@ -221,7 +223,7 @@ def test_criterion_7_internal_sets_are_small_covers():
     trees_checked = 0
     for g in grid8():
         covers = bf_minimal_covers(g)
-        for t in enumerate_dfs_trees(g):
+        for t, _ in enumerate_dfs_trees(g):
             internal = t.internal_vertices()
             for u, v in g.edges():
                 assert u in internal or v in internal, (g.adjacency, t.parent)
@@ -238,17 +240,15 @@ def test_criterion_8_orderings_and_extendability():
     search over all partial trees of graphs with n <= 7 does, and every tree
     they build is a DFS tree of the graph that contains the partial tree and
     has the promised property. Disconnected graphs have no extension."""
-    from lineal import extension, extension_all_internal, extension_all_leaves
-
     for g in grid8():
-        for t in enumerate_dfs_trees(g):
-            assert tree_respecting_ordering(g, t.order) == t
+        for t, order in enumerate_dfs_trees(g):
+            assert tree_respecting_ordering(g, order) == t
 
     partials_checked = 0
     small = atlas6() + [g for g in rand789() if g.vertex_count == 7][:10] + DISCONNECTED
     for g in small:
         by_root: dict[int, list] = {}
-        for t in enumerate_dfs_trees(g):
+        for t, _ in enumerate_dfs_trees(g):
             by_root.setdefault(t.root, []).append((t.parent, t.internal_vertices()))
         for pt in all_partial_trees(g):
             covered = set(pt.parent)
@@ -258,7 +258,6 @@ def test_criterion_8_orderings_and_extendability():
                 if all(parent[v] == p for v, p in pt.parent.items())
             ]
             built = {
-                "any": (extension(g, pt), bool(exts)),
                 "all internal": (
                     extension_all_internal(g, pt),
                     any(covered <= internal for _, internal in exts),

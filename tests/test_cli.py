@@ -145,6 +145,24 @@ def test_verify_accepts_and_rejects(capsys, c4_file, tmp_path):
     assert "not a spanning tree" in report_of(out)["reason"]
 
 
+def test_a_non_canonical_numeral_is_a_label_of_its_own(capsys, tmp_path):
+    # str() writes 1 as "1", not "01", so the labels are opaque: "01" names a
+    # vertex of its own, and verify accepts the witness solve writes with it
+    path = tmp_path / "zero-one.txt"
+    path.write_text("3 2\n0 01\n01 2\n")
+    code, out, _ = run(capsys, "solve", str(path), "--variant", "dual-min", "-k", "1")
+    assert code == 0
+    witness = report_of(out)["witness"]
+    assert witness == {"root": "0", "parents": {"0": None, "01": "0", "2": "01"}}
+    (tmp_path / "w.json").write_text(json.dumps(witness))
+    assert run(capsys, "verify", str(path), "--witness", str(tmp_path / "w.json"))[0] == 0
+    # "01" and "1" are two labels, so three vertices cannot hold four
+    path.write_text("3 2\n0 01\n1 2\n")
+    code, _, err = run(capsys, "solve", str(path), "--variant", "dual-min", "-k", "1")
+    assert code == 65
+    assert "label '2' brings the distinct labels to 4" in err
+
+
 @pytest.mark.parametrize("parents", [[], "0", 0], ids=["list", "string", "number"])
 def test_verify_rejects_parents_that_are_not_an_object(capsys, c4_file, tmp_path, parents):
     witness = tmp_path / "w.json"

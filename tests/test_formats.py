@@ -81,7 +81,7 @@ def test_parse_errors_are_distinct_and_carry_lines():
         ("p edge 3 2\ne 1 2\ne 2 2\n", SelfLoopError, "self-loop at '2'", 3),
         ("c x\np edge 3 2\ne 1 2\ne 2 1\n", DuplicateEdgeError, "duplicate edge '2' '1'", 4),
         ("3 2\n0 1\n1 0\n", DuplicateEdgeError, "duplicate edge '1' '0'", 3),
-        ("3 2\n0 1\n\n01 1\n", SelfLoopError, "self-loop at '01'", 4),
+        ("3 2\n0 1\n\n01 01\n", SelfLoopError, "self-loop at '01'", 4),
         ("3 2\na b\n# x\nb a\n", DuplicateEdgeError, "duplicate edge 'b' 'a'", 4),
         (
             "2 2\na b\nb c\n",
@@ -163,12 +163,14 @@ def labelled_edge_lists(draw, max_n: int = 6):
 
 
 @given(labelled_edge_lists())
-@example((11, [("1_0", "01"), ("+1", "-0")]))  # ids 10, 1 and 0
-@example((4, [("\u0663", "+1"), ("3", "0")]))  # the Arabic-Indic 3 is n - 1
+@example((11, [("1_0", "01"), ("+1", "-0")]))  # int() reads 10, 1, 1, 0; all four opaque
+@example((4, [("\u0663", "+1"), ("3", "0")]))  # int() reads the Arabic-Indic 3 as 3; all opaque
 @example((4, [("4", "0")]))  # n is out of range, so the labels are opaque
-@example((4, [("+1", "1")]))  # two spellings of id 1: a self-loop
+@example((4, [("+1", "1")]))  # two labels, two vertices: no self-loop
+@example((3, [("0", "01"), ("01", "2")]))  # "01" is a third vertex, not "1"
+@example((3, [("0", "01"), ("1", "2")]))  # four labels for three vertices
 @settings(max_examples=200, deadline=None)
-def test_numeric_labels_are_read_as_int_reads_each(doc):
+def test_numeric_labels_are_read_only_as_canonical_numerals(doc):
     n, pairs = doc
     text = "\n".join([f"{n} {len(pairs)}"] + [f"{a} {b}" for a, b in pairs]) + "\n"
     distinct = list(dict.fromkeys(lab for pair in pairs for lab in pair))
@@ -186,7 +188,7 @@ def test_numeric_labels_are_read_as_int_reads_each(doc):
         assert loaded.labels == tuple(map(str, range(n)))
     else:
         assert loaded.labels[: len(distinct)] == tuple(distinct)
-        assert len(loaded.labels) == n
+        assert len(set(loaded.labels)) == len(loaded.labels) == n
     assert loaded.graph == Graph(n, [(ids[a], ids[b]) for a, b in pairs])
 
 

@@ -12,7 +12,6 @@ from lineal import (
     Variant,
     dfs_any,
     greedy_cover,
-    internal_profile,
     is_dfs_tree,
     kernel_dual_max,
     kernel_dual_min,
@@ -35,6 +34,7 @@ from helpers import (
     atlas_connected,
     bf_min_cover,
     connected_graphs,
+    internal_profile,
     profile_of,
 )
 

@@ -22,7 +22,6 @@ from lineal import (
     solve_dual_max_xp,
     solve_dual_min_xp,
     solve_exact_oracle,
-    tree_respecting_ordering,
 )
 from lineal.generate import bounded_cover_graph, cycle_graph, gnp_graph, path_graph, star_graph
 from lineal.solve import _min_cover
@@ -43,6 +42,7 @@ from helpers import (
     disconnected_graphs,
     profile_of,
     random_connected,
+    tree_respecting_ordering,
 )
 
 
@@ -90,11 +90,18 @@ def test_accepted_tuple_is_a_viable_guess():
     assert solve_dual_min_xp(C4, 0).accepted_tuple is None
 
 
-@given(connected_graphs(max_n=7))
-@settings(max_examples=30, deadline=None)
+@given(st.one_of(connected_graphs(max_n=7), disconnected_graphs(max_n=7)))
+@example(DISCONNECTED[0])
+@example(DISCONNECTED[1])
+@example(DISCONNECTED[2])
+@example(DISCONNECTED[3])
+@example(DISCONNECTED[4])
+@settings(max_examples=50, deadline=None)
 def test_xp_solvers_agree_with_oracle(g):
+    # a disconnected graph has an empty profile: both solvers must say no
+    # at every k, although neither tests connectivity
     prof = profile_of(g)
-    for k in range(0, g.vertex_count + 2):
+    for k in range(-1, g.vertex_count + 2):
         want_min = max(prof) >= k if prof else False
         want_max = min(prof) <= k if prof else False
         d_min = solve_dual_min_xp(g, k)
@@ -517,8 +524,16 @@ def test_oracle_respects_time_budget():
 
 
 def test_oracle_degenerate_graphs():
+    from itertools import combinations
+
     assert solve_exact_oracle(inst(Graph(0, []), 0, Variant.MAX_LLT)).answer is False
     assert solve_exact_oracle(inst(Graph(2, []), 1, Variant.MIN_LLT)).answer is False
+    # K10 plus an isolated vertex: the walk stops at its first stalled run
+    # instead of walking all 10! runs of K10 first
+    g = Graph(11, list(combinations(range(10), 2)))
+    start = time.perf_counter()
+    d = solve_exact_oracle(inst(g, 3, Variant.DUAL_MIN_LLT), limit=11)
+    assert d.answer is False and time.perf_counter() - start < 1.0
 
 
 def test_cross_variant_complement_identity():

@@ -12,32 +12,30 @@ from lineal import (
     dfs_any,
     dfs_runs,
     dfs_tree_violation,
-    enumerate_dfs_trees,
-    extension,
     extension_all_internal,
     extension_all_leaves,
-    internal_profile,
     is_dfs_tree,
     solve_exact_oracle,
-    tree_respecting_ordering,
 )
 from lineal.generate import gnp_graph
 
 from helpers import (
     C4,
+    DISCONNECTED,
     K3,
     P3,
     P4,
-    PAW,
     STAR3,
     atlas_connected,
     connected_graphs,
+    enumerate_dfs_trees,
+    internal_profile,
     reference_dfs_runs,
+    tree_respecting_ordering,
 )
 
 
-def tree(root, parent, order=None):
-    return RootedSpanningTree(root, parent, order)
+tree = RootedSpanningTree
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +75,7 @@ def test_is_dfs_tree_errors_on_broken_trees():
 
 
 # ---------------------------------------------------------------------------
-# tree_respecting_ordering
+# tree_respecting_ordering (the reference reconstruction in helpers.py)
 
 def test_ordering_fails_when_forced_adjacency_fails():
     assert tree_respecting_ordering(P3, (0, 2, 1)) is None
@@ -132,9 +130,9 @@ def test_dfs_any_examples():
 def test_dfs_any_covers_the_root_component():
     # on a disconnected graph the tree is partial: the root's component only
     t = dfs_any(Graph(2, []), 0)
-    assert (t.root, t.parent, t.order) == (0, {0: None}, (0,))
+    assert (t.root, t.parent) == (0, {0: None})
     t = dfs_any(Graph(5, [(0, 3), (1, 2), (3, 4)]), 4)
-    assert (t.parent, t.order) == ({4: None, 3: 4, 0: 3}, (4, 3, 0))
+    assert t.parent == {4: None, 3: 4, 0: 3}
     assert t.internal_vertices() == {3, 4}
     with pytest.raises(ValueError):
         dfs_any(Graph(2, []), 2)
@@ -178,14 +176,6 @@ def test_ancestor_semantics():
 # ---------------------------------------------------------------------------
 # extendability
 
-def test_extendable_examples():
-    assert extension(C4, tree(0, {0: None, 1: 0})) is not None
-    assert extension(STAR3, tree(1, {1: None})) is not None
-    assert extension(PAW, tree(1, {1: None, 2: 1})) is not None
-    # a star over a triangle is not a DFS tree of the induced subgraph
-    assert extension(PAW, tree(0, {0: None, 1: 0, 2: 0})) is None
-
-
 def test_extendable_all_internal_examples():
     assert extension_all_internal(C4, tree(0, {0: None, 1: 0, 2: 1})) is not None
     assert extension_all_internal(P4, tree(1, {1: None, 2: 1})) is not None
@@ -201,23 +191,23 @@ def test_extendable_all_leaves_examples():
 
 
 # ---------------------------------------------------------------------------
-# enumeration oracle
+# the oracle walk, and the reference enumeration and profile built on it
 
 def test_enumerate_k3():
-    trees = list(enumerate_dfs_trees(K3))
+    trees = [t for t, _ in enumerate_dfs_trees(K3)]
     assert len(trees) == 6
     assert {t.internal_count() for t in trees} == {2}
     assert len({(t.root, tuple(sorted(t.parent.items()))) for t in trees}) == 6
 
 
 def test_enumerate_p3():
-    trees = list(enumerate_dfs_trees(P3))
+    trees = [t for t, _ in enumerate_dfs_trees(P3)]
     assert len(trees) == 3
     assert sorted(t.internal_count() for t in trees) == [1, 2, 2]
 
 
 def test_enumerate_single_vertex():
-    trees = list(enumerate_dfs_trees(Graph(1, [])))
+    trees = [t for t, _ in enumerate_dfs_trees(Graph(1, []))]
     assert len(trees) == 1
     assert trees[0].internal_count() == 0
 
@@ -242,7 +232,7 @@ def test_dfs_runs_checks_its_limit_at_once():
 
 
 def test_dfs_runs_walks_every_root_in_the_reference_order():
-    for g in atlas_connected(5) + [Graph(3, [(0, 1)])]:
+    for g in atlas_connected(5) + DISCONNECTED:
         n = g.vertex_count
         expected = [
             (root, parent, order, len({p for p in parent.values() if p is not None}))
@@ -276,7 +266,7 @@ _QUALIFIES = {
 def test_enumeration_follows_the_reference_order():
     corpus = atlas_connected(6) + [
         gnp_graph(8, 0.5, seed=1), gnp_graph(8, 0.7, seed=2), gnp_graph(9, 0.4, seed=3)
-    ]
+    ] + DISCONNECTED
     for g in corpus:
         n = g.vertex_count
         runs = []  # (root, parent, order, internal) over every root, in walk order
@@ -290,30 +280,30 @@ def test_enumeration_follows_the_reference_order():
             if key not in seen:
                 seen.add(key)
                 distinct.append((root, parent, order))
-        got = [(t.root, t.parent, t.order) for t in enumerate_dfs_trees(g)]
+        got = [(t.root, t.parent, order) for t, order in enumerate_dfs_trees(g)]
         assert got == distinct
         assert internal_profile(g) == {internal for *_, internal in runs}
         for variant, qualifies in _QUALIFIES.items():
             for k in range(n + 2):
                 first = next(
-                    (run[:3] for run in runs if qualifies(run[3], n - run[3], k)), None
+                    (run[:2] for run in runs if qualifies(run[3], n - run[3], k)), None
                 )
                 decision = solve_exact_oracle(ProblemInstance(g, k, variant))
                 assert decision.answer is (first is not None)
                 w = decision.witness
-                assert (None if w is None else (w.root, w.parent, w.order)) == first
+                assert (None if w is None else (w.root, w.parent)) == first
 
 
 def test_every_enumerated_tree_is_a_dfs_tree_and_round_trips():
     for g in atlas_connected(5):
-        for t in enumerate_dfs_trees(g):
+        for t, order in enumerate_dfs_trees(g):
             assert is_dfs_tree(g, t)
-            assert tree_respecting_ordering(g, t.order) == t
+            assert tree_respecting_ordering(g, order) == t
 
 
 def test_leaves_of_dfs_trees_are_never_adjacent():
     for g in atlas_connected(5):
-        for t in enumerate_dfs_trees(g):
+        for t, _ in enumerate_dfs_trees(g):
             leaves = sorted(t.leaf_vertices())
             for i, u in enumerate(leaves):
                 for v in leaves[i + 1 :]:
@@ -323,7 +313,7 @@ def test_leaves_of_dfs_trees_are_never_adjacent():
 @given(connected_graphs(max_n=6))
 @settings(max_examples=40, deadline=None)
 def test_internal_set_is_a_vertex_cover(g):
-    for t in enumerate_dfs_trees(g):
+    for t, _ in enumerate_dfs_trees(g):
         internal = t.internal_vertices()
         for u, v in g.edges():
             assert u in internal or v in internal
@@ -332,5 +322,5 @@ def test_internal_set_is_a_vertex_cover(g):
 @given(connected_graphs(max_n=6))
 @settings(max_examples=25, deadline=None)
 def test_profile_matches_enumeration_definition(g):
-    by_enumeration = frozenset(t.internal_count() for t in enumerate_dfs_trees(g))
+    by_enumeration = frozenset(t.internal_count() for t, _ in enumerate_dfs_trees(g))
     assert internal_profile(g) == by_enumeration
