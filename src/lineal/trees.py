@@ -57,7 +57,7 @@ class RootedSpanningTree:
         A one-vertex tree has no internal vertices: a root without
         descendants is a leaf.
         """
-        return frozenset(p for p in self.parent.values() if p is not None)
+        return frozenset(self.parent.values()) - {None}
 
     def leaf_vertices(self) -> frozenset[int]:
         return frozenset(self.parent.keys() - self.internal_vertices())
@@ -111,9 +111,12 @@ class AncestorIndex:
             v, it = stack[-1]
             for child in it:
                 enter[child] = clock
-                clock += 1
-                stack.append((child, iter(kids[child])))
-                break
+                if grandkids := kids[child]:
+                    clock += 1
+                    stack.append((child, iter(grandkids)))
+                    break
+                exit_[child] = clock + 1  # a leaf is left as soon as it is entered
+                clock += 2
             else:
                 exit_[v] = clock
                 clock += 1
@@ -312,13 +315,16 @@ def _forced_runs(g: Graph):
     deepest stack vertex that has any. The DFS stack is always the tree path
     from the root to the last discovered vertex, so it is walked through
     `parent` rather than kept. The discovered set is an int bitmask tested
-    against one neighbor mask per vertex. One frame per discovered vertex
-    after the root holds its parent, the mask of candidates not yet taken,
-    and the discovered set and internal count the run had on opening it;
-    the internal count rises by one exactly when the parent is the last
-    discovered vertex, the only stack vertex without a child. The frames
-    sit on an explicit stack, so a long path does not exhaust Python's
-    recursion limit.
+    against one neighbor mask per vertex. A run is extended down its
+    leftmost branch, taking the lowest candidate at each step; the internal
+    count rises by one exactly when the parent is the last discovered
+    vertex, the only stack vertex without a child. A frame exists only
+    where a step had other candidates: (parent, candidates not yet taken,
+    discovered set before the step, internal count after it, length of
+    `order` before it). After a run the walk resumes at the deepest frame:
+    it cuts `order` back to the stored length, takes the next candidate and
+    keeps the frame while candidates remain. The frames sit on an explicit
+    stack, so a long path does not exhaust Python's recursion limit.
     """
     n = g.vertex_count
     nb = [0] * n
@@ -327,7 +333,7 @@ def _forced_runs(g: Graph):
             nb[v] |= 1 << u
     full = (1 << n) - 1
     parent: list[int | None] = [None] * n
-    frames: list[list] = []  # [parent, candidates left, seen before, internal after]
+    frames: list[tuple[int, int, int, int, int]] = []
     for root in range(n):
         parent[root] = None
         order = [root]
@@ -336,33 +342,27 @@ def _forced_runs(g: Graph):
         while True:
             if seen == full:
                 yield root, parent, order, internal
+                if not frames:
+                    break
+                v, left, seen, internal, size = frames.pop()
+                del order[size:]
             else:
                 v = order[-1]
                 while v is not None:
                     left = nb[v] & ~seen
                     if left:
-                        frames.append([v, left, seen, internal + (v == order[-1])])
-                        order.append(v)  # placeholder for the frame's candidate
                         break
                     v = parent[v]
                 else:
                     return  # the run stalled before it spans: g is disconnected
-            while frames:
-                frame = frames[-1]
-                left = frame[1]
-                if left:
-                    low = left & -left
-                    frame[1] = left ^ low
-                    w = low.bit_length() - 1
-                    parent[w] = frame[0]
-                    order[-1] = w
-                    seen = frame[2] | low
-                    internal = frame[3]
-                    break
-                frames.pop()
-                order.pop()
-            else:
-                break
+                internal += v == order[-1]
+            low = left & -left
+            if left != low:
+                frames.append((v, left ^ low, seen, internal, len(order)))
+            w = low.bit_length() - 1
+            parent[w] = v
+            order.append(w)
+            seen |= low
 
 
 def dfs_runs(g: Graph, *, limit: int) -> Iterator[tuple[int, list[int | None], list[int], int]]:

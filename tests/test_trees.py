@@ -1,3 +1,6 @@
+from itertools import combinations
+from math import factorial
+
 import pytest
 from hypothesis import given, settings
 
@@ -17,7 +20,7 @@ from lineal import (
     is_dfs_tree,
     solve_exact_oracle,
 )
-from lineal.generate import gnp_graph
+from lineal.generate import bounded_cover_graph, cycle_graph, gnp_graph, path_graph, star_graph
 
 from helpers import (
     C4,
@@ -28,6 +31,7 @@ from helpers import (
     STAR3,
     atlas_connected,
     connected_graphs,
+    disconnected_graphs,
     enumerate_dfs_trees,
     internal_profile,
     reference_dfs_runs,
@@ -231,19 +235,68 @@ def test_dfs_runs_checks_its_limit_at_once():
         dfs_runs(P3, limit=2)
 
 
+def _assert_walks_like_reference(g):
+    """dfs_runs yields the reference's runs, run for run: the same root,
+    tree, discovery order and internal count, in the same order."""
+    n = g.vertex_count
+    expected = [
+        (root, parent, order, len({p for p in parent.values() if p is not None}))
+        for root in range(n)
+        for parent, order in reference_dfs_runs(g, root)
+    ]
+    got = [
+        (root, {v: parent[v] for v in order}, tuple(order), internal)
+        for root, parent, order, internal in dfs_runs(g, limit=n)
+    ]
+    assert got == expected
+
+
+# Long forced stretches before a branch, so a resumed run cuts `order` back
+# past vertices that were discovered with no other candidate.
+SPIDER = Graph(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])  # centre 0, 3 legs of length 2
+
+
+def _complete(n):
+    return Graph(n, list(combinations(range(n), 2)))
+
+
 def test_dfs_runs_walks_every_root_in_the_reference_order():
-    for g in atlas_connected(5) + DISCONNECTED:
-        n = g.vertex_count
-        expected = [
-            (root, parent, order, len({p for p in parent.values() if p is not None}))
-            for root in range(n)
-            for parent, order in reference_dfs_runs(g, root)
-        ]
-        got = [
-            (root, {v: parent[v] for v in order}, tuple(order), internal)
-            for root, parent, order, internal in dfs_runs(g, limit=n)
-        ]
-        assert got == expected
+    corpus = atlas_connected(5) + DISCONNECTED + [
+        path_graph(8),
+        cycle_graph(8),
+        SPIDER,
+        _complete(6),
+        bounded_cover_graph(10, 3, 0.5, seed=3),
+        gnp_graph(9, 0.5, seed=4),
+    ]
+    for g in corpus:
+        _assert_walks_like_reference(g)
+
+
+@given(connected_graphs(max_n=7) | disconnected_graphs(max_n=7))
+@settings(max_examples=100, deadline=None)
+def test_dfs_runs_matches_the_reference_walk(g):
+    _assert_walks_like_reference(g)
+
+
+@pytest.mark.parametrize(
+    "build, ns, runs",
+    [
+        (_complete, range(1, 8), factorial),
+        (cycle_graph, range(3, 11), lambda n: 2 * n),
+        (path_graph, range(2, 11), lambda n: 2 * n - 2),
+        (star_graph, range(2, 9), lambda n: 2 * factorial(n - 1)),
+    ],
+    ids=["complete", "cycle", "path", "star"],
+)
+def test_dfs_runs_counts_in_closed_form(build, ns, runs):
+    # counted apart from the reference walk: from each root of K_n every order
+    # of the others is a run; a cycle runs each way round from every root; a
+    # path's ends run once and its inner vertices twice; a star gives every
+    # order of the leaves from the centre and every order of the other leaves
+    # from each leaf
+    for n in ns:
+        assert sum(1 for _ in dfs_runs(build(n), limit=n)) == runs(n), n
 
 
 def test_profile_examples():
