@@ -1,14 +1,16 @@
 """Graph file formats (edge list and DIMACS) and the witness exchange format.
 
-Input labels are opaque strings mapped injectively to dense 0-based ids;
+Edge-list labels are opaque strings mapped injectively to dense 0-based ids;
 when every label is the canonical numeral `str(i)` of an id i below n, ids
-are taken verbatim, so "01" and "1" always name two vertices.
+are taken verbatim, so "01" and "1" always name two vertices. Both formats
+turn canonical numerals into ids through one dict; a DIMACS endpoint spelled
+otherwise ("01", "+1") falls back to `int()`. Each edge keeps the line it
+was written on, and an error about an edge names that line.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain
 
 from .graphs import Graph
 from .trees import RootedSpanningTree
@@ -67,7 +69,7 @@ def parse_graph(text: str) -> LoadedGraph:
 
 def _parse_edgelist(lines: list[str]) -> LoadedGraph:
     n = m = -1
-    pairs: list[list[str]] = []  # each edge as its two written labels
+    tokens: list[str] = []  # the two written labels of each edge, in turn
     rows: list[int] = []  # the line of each edge
     for lineno, raw in enumerate(lines, 1):
         parts = raw.split()
@@ -85,15 +87,15 @@ def _parse_edgelist(lines: list[str]) -> LoadedGraph:
             continue
         if len(parts) != 2:
             raise MalformedLineError("expected an edge as two labels", lineno)
-        if len(pairs) == m:
+        if len(rows) == m:
             raise MalformedLineError(f"more than the declared {m} edges", lineno)
-        pairs.append(parts)
+        tokens += parts
         rows.append(lineno)
     if n < 0:
         raise MalformedLineError("missing header line")
-    if len(pairs) != m:
-        raise MalformedLineError(f"declared {m} edges but found {len(pairs)}")
-    return _assemble(n, pairs, rows)
+    if len(rows) != m:
+        raise MalformedLineError(f"declared {m} edges but found {len(rows)}")
+    return _assemble(n, tokens, rows)
 
 
 def _parse_dimacs(lines: list[str]) -> LoadedGraph:
@@ -101,7 +103,8 @@ def _parse_dimacs(lines: list[str]) -> LoadedGraph:
     line whose first token starts with '#', or whose first token is a bare
     'c' that ends the line or is followed by a space."""
     n = m = -1
-    edges: list[tuple[int, int]] = []
+    us: list[int] = []  # the first endpoint of each edge, as an id
+    vs: list[int] = []  # the second endpoint of each edge
     rows: list[int] = []  # the line of each edge
     for lineno, raw in enumerate(lines, 1):
         parts = raw.split()
@@ -113,15 +116,18 @@ def _parse_dimacs(lines: list[str]) -> LoadedGraph:
                 raise MalformedLineError("edge before the problem line", lineno)
             if len(parts) != 3:
                 raise MalformedLineError("expected 'e <u> <v>'", lineno)
-            if len(edges) == m:
+            if len(rows) == m:
                 raise MalformedLineError(f"more than the declared {m} edges", lineno)
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise MalformedLineError("edge endpoints must be integers", lineno) from None
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise MalformedLineError(f"endpoint out of range 1..{n}", lineno)
-            edges.append((u - 1, v - 1))
+            u, v = ids.get(parts[1]), ids.get(parts[2])
+            if u is None or v is None:  # not both canonical numerals: read them as int() does
+                try:
+                    u, v = int(parts[1]) - 1, int(parts[2]) - 1
+                except ValueError:
+                    raise MalformedLineError("edge endpoints must be integers", lineno) from None
+                if not (0 <= u < n and 0 <= v < n):
+                    raise MalformedLineError(f"endpoint out of range 1..{n}", lineno)
+            us.append(u)
+            vs.append(v)
             rows.append(lineno)
         elif kind[0] == "#" or _is_dimacs_comment(raw, parts):
             continue
@@ -136,13 +142,16 @@ def _parse_dimacs(lines: list[str]) -> LoadedGraph:
                 raise MalformedLineError("problem line fields must be integers", lineno) from None
             if n < 0 or m < 0:
                 raise MalformedLineError("problem line fields must be non-negative", lineno)
+            # two endpoints a line at most: the rest of 1..n waits until every line is read
+            labels = tuple(map(str, range(1, min(n, 2 * len(lines)) + 1)))
+            ids = dict(zip(labels, range(n)))
         else:
             raise MalformedLineError(f"unknown line type {kind!r}", lineno)
     if n < 0:
         raise MalformedLineError("missing problem line")
-    if len(edges) != m:
-        raise MalformedLineError(f"declared {m} edges but found {len(edges)}")
-    return _build(tuple(map(str, range(1, n + 1))), edges, rows)
+    if len(rows) != m:
+        raise MalformedLineError(f"declared {m} edges but found {len(rows)}")
+    return _build(labels + tuple(map(str, range(len(labels) + 1, n + 1))), us, vs, rows)
 
 
 def _is_dimacs_comment(raw: str, parts: list[str]) -> bool:
@@ -151,20 +160,18 @@ def _is_dimacs_comment(raw: str, parts: list[str]) -> bool:
     return parts[0] == "c" and (len(parts) == 1 or raw.lstrip()[1] == " ")
 
 
-def _assemble(n: int, pairs: list[list[str]], rows: list[int]) -> LoadedGraph:
-    ids = dict.fromkeys(chain.from_iterable(pairs))  # distinct labels, first appearance first
-    numerals = tuple(map(str, range(n)))
-    verbatim = dict(zip(numerals, range(n)))
-    if verbatim.keys() >= ids.keys():  # every label is the numeral of an id below n
-        ids, labels = verbatim, numerals
-    else:
+def _assemble(n: int, tokens: list[str], rows: list[int]) -> LoadedGraph:
+    """Give ids to `tokens`, the labels of edge i at 2i and 2i + 1."""
+    labels = tuple(map(str, range(n)))
+    flat = list(map(dict(zip(labels, range(n))).get, tokens))
+    if None in flat:  # some label is not the numeral of an id below n
+        ids = dict.fromkeys(tokens)  # distinct labels, first appearance first
         if len(ids) > n:
             extra = list(ids)[n]
-            lineno = next(ln for pair, ln in zip(pairs, rows) if extra in pair)
             raise LabelOverflowError(
                 f"label {extra!r} brings the distinct labels to {n + 1}, "
                 f"but only {n} vertices are declared",
-                lineno,
+                rows[tokens.index(extra) // 2],
             )
         ids = dict(zip(ids, range(len(ids))))
         i = 0
@@ -172,19 +179,20 @@ def _assemble(n: int, pairs: list[list[str]], rows: list[int]) -> LoadedGraph:
             ids.setdefault(str(i), len(ids))
             i += 1
         labels = tuple(ids)
-    return _build(labels, [(ids[a], ids[b]) for a, b in pairs], rows)
+        flat = list(map(ids.__getitem__, tokens))
+    return _build(labels, flat[0::2], flat[1::2], rows)
 
 
-def _build(labels, edges, rows) -> LoadedGraph:
-    """Check `edges`, (u, v) pairs over dense ids written on lines `rows`, and
-    adopt them as a graph.
+def _build(labels, us, vs, rows) -> LoadedGraph:
+    """Check the edges (us[i], vs[i]) over dense ids, edge i written on line
+    rows[i], and adopt them as a graph.
 
     This is the only check of the parsed edges: the graph is built through
     the private constructor. Error text names an endpoint by its label,
     which in an edge list is the label as written.
     """
     neighbors: list[set[int]] = [set() for _ in labels]
-    for i, (u, v) in enumerate(edges):
+    for i, (u, v) in enumerate(zip(us, vs)):
         nu = neighbors[u]
         if u == v or v in nu:
             a, b = labels[u], labels[v]
@@ -193,7 +201,7 @@ def _build(labels, edges, rows) -> LoadedGraph:
             raise DuplicateEdgeError(f"duplicate edge {a!r} {b!r}", rows[i])
         nu.add(v)
         neighbors[v].add(u)
-    return LoadedGraph(Graph._adopt(neighbors, len(edges)), labels)
+    return LoadedGraph(Graph._adopt(neighbors, len(rows)), labels)
 
 
 def serialize_graph(g: Graph, labels: tuple[str, ...] | None = None, fmt: str = "edgelist") -> str:

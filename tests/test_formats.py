@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -36,6 +37,24 @@ def test_parse_dimacs_k3():
         loaded = parse_graph(text)
         assert loaded.graph == K3
         assert loaded.labels == ("1", "2", "3")
+
+
+def test_dimacs_endpoints_are_read_by_int():
+    loaded = parse_graph("p edge 3 2\ne 01 +2\ne 2 \u0663\n")
+    assert loaded.graph == P3
+    assert loaded.labels == ("1", "2", "3")
+
+
+def test_a_large_declared_vertex_count_costs_nothing_until_the_lines_are_read():
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedLineError, match="declared 5 edges but found 1"):
+            parse_graph("p edge 1000000 5\ne 1 1000000\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # a table of a million labels takes tens of megabytes
+    assert parse_graph("p edge 9 1\ne 1 9\n").labels == tuple(map(str, range(1, 10)))
 
 
 def test_parse_header_only_single_vertex():
@@ -99,11 +118,17 @@ def test_parse_errors_are_distinct_and_carry_lines():
         ("p edge 2 1\nc\tx\ne 1 2\n", MalformedLineError, "unknown line type 'c'", 2),
         ("p edge 2 1\ncx\ne 1 2\n", MalformedLineError, "unknown line type 'cx'", 2),
         ("p\n", MalformedLineError, "expected 'p edge <vertices> <edges>'", 1),
+        # the first error in line order, whatever kind of error comes later
+        ("p edge 3 2\ne 1 x\nq 2 3\n", MalformedLineError, "edge endpoints must be integers", 2),
+        ("p edge 3 2\ne 1 -1\ne 1 2\n", MalformedLineError, "endpoint out of range 1..3", 2),
+        ("p edge 3 1\ne 1 2\ne 2 9\n", MalformedLineError, "more than the declared 1 edges", 3),
+        ("3 1\n0 1\n1 2 3\n", MalformedLineError, "expected an edge as two labels", 3),
     ],
     ids=["dimacs-loop", "dimacs-reversed-duplicate", "edgelist-duplicate",
          "edgelist-loop-raw-label", "opaque-duplicate", "label-overflow",
          "dimacs-negative-then-valid", "dimacs-negative", "dimacs-c-then-tab",
-         "dimacs-c-glued", "dimacs-bare-p"],
+         "dimacs-c-glued", "dimacs-bare-p", "dimacs-non-integer-first",
+         "dimacs-out-of-range-first", "dimacs-extra-edge-first", "edgelist-long-line-first"],
 )
 def test_parse_error_text_and_line(text, error, message, line):
     with pytest.raises(error) as err:
@@ -116,7 +141,8 @@ def test_parse_error_text_and_line(text, error, message, line):
 def written_graphs(draw, max_n: int = 8):
     """A document for a connected or arbitrary graph: its edges shuffled, each
     written either way round, as DIMACS or as an edge list with numeric or
-    opaque labels. Returns the text and the edges as written (label pairs)."""
+    opaque labels. A DIMACS endpoint is sometimes written with a leading zero
+    or a '+'. Returns the text and the edges as label pairs."""
     if draw(st.booleans()):
         g = draw(connected_graphs(max_n=max_n))
         n, edges = g.vertex_count, list(g.edges())
@@ -129,7 +155,9 @@ def written_graphs(draw, max_n: int = 8):
     fmt = draw(st.sampled_from(["dimacs", "numeric", "opaque"]))
     if fmt == "dimacs":
         written = [(str(u + 1), str(v + 1)) for u, v in edges]
-        lines = [f"p edge {n} {len(edges)}"] + [f"e {a} {b}" for a, b in written]
+        spell = st.sampled_from(["{}", "0{}", "+{}"])  # all three are read by int()
+        lines = [f"p edge {n} {len(edges)}"]
+        lines += [f"e {draw(spell).format(a)} {draw(spell).format(b)}" for a, b in written]
     else:
         name = str if fmt == "numeric" else "v{}".format
         written = [(name(u), name(v)) for u, v in edges]
