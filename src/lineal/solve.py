@@ -167,49 +167,52 @@ def _cover_within(edges: list[tuple[int, int]], b: int, deadline: float) -> list
 
     Buss rule: a vertex of degree above b is in every such cover, and once
     none is left each cover vertex covers at most b edges, so more than b*b
-    edges is a no. Otherwise branch on the first edge's two ends.
+    edges is a no. Otherwise branch on the first edge's two ends: the states
+    (edges left, b left, cover so far) wait on a stack, the second end's
+    pushed first, so the first end's branch is searched first.
     """
-    if time.perf_counter() > deadline:
-        raise BudgetExceeded("time")
-    if not edges:
-        return []
-    degree = Counter(x for e in edges for x in e)
-    forced = {v for v, d in degree.items() if d > b}
-    if forced:
-        if len(forced) > b:
-            return None
-        rest = [(u, v) for u, v in edges if u not in forced and v not in forced]
-        sub = _cover_within(rest, b - len(forced), deadline)
-        return None if sub is None else sorted(forced) + sub
-    if len(edges) > b * b:
-        return None
-    for x in edges[0]:
-        sub = _cover_within([e for e in edges if x not in e], b - 1, deadline)
-        if sub is not None:
-            return [x] + sub
+    stack = [(edges, b, [])]
+    while stack:
+        if time.perf_counter() > deadline:
+            raise BudgetExceeded("time")
+        edges, b, chosen = stack.pop()
+        if not edges:
+            return chosen
+        degree = Counter(x for e in edges for x in e)
+        forced = {v for v, d in degree.items() if d > b}
+        if forced:
+            if len(forced) <= b:
+                rest = [(u, v) for u, v in edges if u not in forced and v not in forced]
+                stack.append((rest, b - len(forced), chosen + sorted(forced)))
+        elif len(edges) <= b * b:
+            for x in reversed(edges[0]):
+                stack.append(([e for e in edges if x not in e], b - 1, chosen + [x]))
     return None
 
 
 def _tuple_search(g: Graph, k: int, variant: Variant, budget: SolverBudget):
     """Walk the viable ordered k-tuples of distinct vertices, ascending.
 
-    Keeps the forced-DFS state of the current prefix: the parents, `reach`,
-    and four values that each descent receives as arguments, so backtracking
-    restores them. The stack is the path from the root to the newest vertex,
-    walked through `parent`, and `reach[v]` holds the neighbors of the
-    root-to-v path, set once when v joins. `inside` is the prefix. `shut`
-    holds the vertices outside the prefix with a finished neighbor; none of
-    them ever joins, so a cut only adds the neighbors of the cut vertices to
-    it. `free` holds the vertices that have no lower twin or whose next
-    lower twin is in the prefix. `linked` counts the non-root prefix
-    vertices of the cover under a prefix parent in the cover (dual-min). A
-    vertex w is shut or has a shut neighbor exactly when `closed[w] & shut`,
-    where closed[w] holds w and its neighbors. Each complete tuple's partial
-    tree (root, live parent map) goes to the variant's builder,
+    Keeps the forced-DFS state of the current prefix `order` in `parent` and
+    `reach`, lists indexed by vertex, and in one frame per prefix on an
+    explicit stack, so a large k never meets Python's recursion limit.
+    `frames[i]` holds the untried candidates of `order[:i+1]` and the four
+    values that prefix was visited with, so backtracking is only
+    `del order[len(frames):]`. The DFS stack is the path from the root to
+    the newest vertex, walked through `parent`, and `reach[v]` holds the
+    neighbors of the root-to-v path, set once when v joins. `inside` is the
+    prefix. `shut` holds the vertices outside the prefix with a finished
+    neighbor; none of them ever joins, so a cut only adds the neighbors of
+    the cut vertices to it. `free` holds the vertices that have no lower
+    twin or whose next lower twin is in the prefix. `linked` counts the
+    non-root prefix vertices of the cover under a prefix parent in the
+    cover (dual-min). A vertex w is shut or has a shut neighbor exactly
+    when `closed[w] & shut`, where closed[w] holds w and its neighbors.
+    Each complete tuple's partial tree goes to the variant's builder,
     `extension_all_internal` for dual-min and `extension_all_leaves` for
-    dual-max, which copies what it keeps. The first tree built wins, which
-    is the lexicographically smallest accepting tuple; a descent returns it
-    with its tuple, or None.
+    dual-max. The first tree built wins, which is the lexicographically
+    smallest accepting tuple; it is returned with its tuple, and None when
+    no tuple is accepted.
 
     The candidates are the free neighbors of the stack outside the prefix,
     `reach` of the newest vertex, taken in ascending bit order. A candidate
@@ -238,9 +241,10 @@ def _tuple_search(g: Graph, k: int, variant: Variant, budget: SolverBudget):
     high = [v for v in range(n) if len(g.adjacency[v]) > k] if cover else []
     in_high = sum(1 << v for v in high)
 
-    parent: dict[int, int | None] = {}
+    parent: list[int | None] = [None] * n
     order: list[int] = []
     reach = [0] * n  # reach[v]: the neighbors of the root-to-v path, set when v joins
+    frames: list[tuple[int, int, int, int, int]] = []  # (cands, inside, shut, free, linked)
 
     def hopeless(inside: int, shut: int, linked: int) -> bool:
         """No accepting tuple extends the prefix, by the counting bounds."""
@@ -252,75 +256,78 @@ def _tuple_search(g: Graph, k: int, variant: Variant, budget: SolverBudget):
             closed[v] & shut for v in high if left >> v & 1
         )
 
-    def descend(inside: int, shut: int, free: int, linked: int):
-        nonlocal visits
-        if hopeless(inside, shut, linked):
-            return None
-        visits += 1
-        if visits > budget.max_tuple_count:
-            raise BudgetExceeded("tuple")
-        if not (visits & 1023) and time.perf_counter() > deadline:
-            raise BudgetExceeded("time")
-        if len(order) == k:
-            witness = extend(g, RootedSpanningTree(order[0], parent))
-            return None if witness is None else (tuple(order), witness)
-        grow = len(order) + 1 < k
-        outside = ~inside
-        cands = reach[order[-1]] & free & outside
-        if cover and (in_high & outside).bit_count() == k - len(order):
-            cands &= in_high  # any other child leaves too few slots for them
-        if cover and not grow:
-            # keep the ends of the first edge outside the prefix, if there is one
-            rest = everyone & outside
-            while rest:
-                first = rest & -rest
-                ends = nb[first.bit_length() - 1] & rest
-                if ends:
-                    cands &= first | ends & -ends
-                    break
-                rest ^= first
-        while cands:
-            low = cands & -cands
-            cands ^= low
-            w = low.bit_length() - 1
-            if closed[w] & shut:
-                continue
-            if all_internal and not nb[w] & outside:
-                continue
-            # w goes under the first vertex adjacent to it up the stack; the
-            # vertices passed on the way are cut, and their neighbors are shut
-            v, now = order[-1], shut
-            while not nb[w] >> v & 1:
-                now |= nb[v]
-                v = parent[v]
-            parent[w] = v
-            reach[w] = reach[v] | nb[w]
-            order.append(w)
-            linked_w = linked + (in_cov >> w & in_cov >> v & 1)
-            if not grow:
-                hit = descend(inside | low, shut, free | next_twin[w], linked_w)
-            else:
-                now &= ~(inside | low)
-                # w is dead too if the cut shut one of its own neighbors
-                hit = None if nb[w] & now else descend(
-                    inside | low, now, free | next_twin[w], linked_w
-                )
-            order.pop()
-            del parent[w]
-            if hit is not None:
-                return hit
-        return None
-
     for root in range(n):
         if not untwinned >> root & 1:
             continue
-        parent.clear()
         parent[root] = None
         order[:] = [root]
         reach[root] = nb[root]
-        hit = descend(1 << root, 0, untwinned | next_twin[root], 0)
-        if hit is not None:
-            return hit
+        inside, shut, free, linked = 1 << root, 0, untwinned | next_twin[root], 0
+        while True:
+            # visit `order`, reached with (inside, shut, free, linked)
+            if not hopeless(inside, shut, linked):
+                visits += 1
+                if visits > budget.max_tuple_count:
+                    raise BudgetExceeded("tuple")
+                if not (visits & 1023) and time.perf_counter() > deadline:
+                    raise BudgetExceeded("time")
+                if len(order) == k:
+                    witness = extend(g, RootedSpanningTree(root, {v: parent[v] for v in order}))
+                    if witness is not None:
+                        return tuple(order), witness
+                else:
+                    outside = ~inside
+                    cands = reach[order[-1]] & free & outside
+                    if cover and (in_high & outside).bit_count() == k - len(order):
+                        cands &= in_high  # any other child leaves too few slots for them
+                    if cover and len(order) + 1 == k:
+                        # keep the ends of the first edge outside the prefix, if there is one
+                        rest = everyone & outside
+                        while rest:
+                            first = rest & -rest
+                            ends = nb[first.bit_length() - 1] & rest
+                            if ends:
+                                cands &= first | ends & -ends
+                                break
+                            rest ^= first
+                    frames.append((cands, inside, shut, free, linked))
+            # move on to the next child of the deepest frame with one left
+            while frames:
+                cands, inside, shut, free, linked = frames[-1]
+                del order[len(frames):]
+                grow = len(order) + 1 < k
+                outside = ~inside
+                while cands:
+                    low = cands & -cands
+                    cands ^= low
+                    w = low.bit_length() - 1
+                    if closed[w] & shut:
+                        continue
+                    if all_internal and not nb[w] & outside:
+                        continue
+                    # w goes under the first vertex adjacent to it up the stack; the
+                    # vertices passed on the way are cut, and their neighbors are shut
+                    v, now = order[-1], shut
+                    while not nb[w] >> v & 1:
+                        now |= nb[v]
+                        v = parent[v]
+                    if grow:
+                        now &= ~(inside | low)
+                        if nb[w] & now:  # w is dead too if the cut shut one of its own neighbors
+                            continue
+                    break
+                else:
+                    frames.pop()
+                    continue
+                frames[-1] = (cands, inside, shut, free, linked)
+                parent[w] = v
+                reach[w] = reach[v] | nb[w]
+                order.append(w)
+                inside, shut, free = inside | low, now if grow else shut, free | next_twin[w]
+                linked += in_cov >> w & in_cov >> v & 1
+                break
+            else:
+                break
     return None
 
 

@@ -184,27 +184,30 @@ def is_dfs_tree(g: Graph, t: RootedSpanningTree) -> bool:
     return dfs_tree_violation(g, t) is None
 
 
-def dfs_any(g: Graph, root: int) -> RootedSpanningTree:
-    """The DFS tree from `root` exploring neighbors in ascending id order; it
-    covers the root's component, so on a disconnected graph it is partial."""
-    n = g.vertex_count
-    if not (0 <= root < n):
-        raise ValueError(f"root {root} out of range")
-    adj = g.adjacency
-    seen = bytearray(n)
-    seen[root] = 1
-    parent: dict[int, int | None] = {root: None}
-    stack = [(root, iter(adj[root]))]
+def _walk(adj, parent: dict, start: int) -> None:
+    """Grow `parent`, which holds `start`, by the DFS from `start` over the
+    vertices not yet in it, neighbors ascending, in discovery order; the DFS
+    stack is a list of (vertex, neighbor iterator), not Python calls."""
+    stack = [(start, iter(adj[start]))]
     while stack:
         v, it = stack[-1]
         for w in it:
-            if not seen[w]:
-                seen[w] = 1
+            if w not in parent:
                 parent[w] = v
                 stack.append((w, iter(adj[w])))
                 break
         else:
             stack.pop()
+
+
+def dfs_any(g: Graph, root: int) -> RootedSpanningTree:
+    """The DFS tree from `root` exploring neighbors in ascending id order; it
+    covers the root's component, so on a disconnected graph it is partial.
+    Its parent map lists the vertices in discovery order."""
+    if not (0 <= root < g.vertex_count):
+        raise ValueError(f"root {root} out of range")
+    parent: dict[int, int | None] = {root: None}
+    _walk(g.adjacency, parent, root)
     return RootedSpanningTree(root, parent)
 
 
@@ -235,21 +238,7 @@ def _hang_components(
             return None
         start = min(w for w in comp if g.adjacent(w, anchor))
         parent[start] = anchor
-        stack = [[start, 0]]
-        seen = {start}
-        while stack:
-            v, i = stack[-1]
-            av = adj[v]
-            while i < len(av) and (av[i] not in comp or av[i] in seen):
-                i += 1
-            if i == len(av):
-                stack.pop()
-                continue
-            stack[-1][1] = i + 1
-            w = av[i]
-            parent[w] = v
-            seen.add(w)
-            stack.append([w, 0])
+        _walk(adj, parent, start)  # stays in comp: its other neighbors are in t
     return RootedSpanningTree(t.root, parent)
 
 

@@ -226,6 +226,49 @@ def reference_dfs_runs(g: Graph, root: int) -> list[tuple[dict, tuple[int, ...]]
     return runs
 
 
+def reference_all_internal_tree(g: Graph, t: RootedSpanningTree) -> RootedSpanningTree:
+    """The tree that `extension_all_internal` builds from t, where it builds one.
+
+    The components of g minus t's covered set, by ascending minimum, each
+    hang below the deepest vertex of their neighbourhood in t, via a plain
+    recursive DFS of the component (neighbours ascending) from its lowest
+    vertex adjacent to that anchor. The parent map lists t's vertices
+    first, then each component's in discovery order.
+    """
+    inside = t.parent
+    adj = g.adjacency
+
+    def depth(v):
+        return 0 if inside[v] is None else 1 + depth(inside[v])
+
+    comps, seen = [], set()
+    for s in range(g.vertex_count):
+        if s in inside or s in seen:
+            continue
+        comp, frontier = {s}, [s]
+        while frontier:
+            for w in adj[frontier.pop()]:
+                if w not in inside and w not in comp:
+                    comp.add(w)
+                    frontier.append(w)
+        seen |= comp
+        comps.append(comp)
+    parent = dict(inside)
+
+    def visit(v, comp):
+        for w in adj[v]:
+            if w in comp and w not in parent:
+                parent[w] = v
+                visit(w, comp)
+
+    for comp in comps:
+        anchor = max({u for w in comp for u in adj[w] if u in inside}, key=depth)
+        start = min(w for w in comp if anchor in adj[w])
+        parent[start] = anchor
+        visit(start, comp)
+    return RootedSpanningTree(t.root, parent)
+
+
 def all_partial_trees(g: Graph):
     """Every rooted subtree of g: a connected vertex subset, a spanning tree
     of its induced subgraph, and a choice of root."""

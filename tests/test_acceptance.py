@@ -45,6 +45,7 @@ from helpers import (
     enumerate_dfs_trees,
     profile_of,
     random_connected,
+    reference_all_internal_tree,
     tree_respecting_ordering,
 )
 
@@ -276,6 +277,9 @@ def test_criterion_8_orderings_and_extendability():
                 assert all(ext.parent[v] == p for v, p in pt.parent.items()), case
                 if kind == "all internal":
                     assert covered <= ext.internal_vertices(), case
+                    # the very tree, insertion order included
+                    ref = reference_all_internal_tree(g, pt)
+                    assert list(ext.parent.items()) == list(ref.parent.items()), case
                 if kind == "all leaves":
                     assert ext.internal_vertices() <= covered, case
             partials_checked += 1

@@ -514,6 +514,28 @@ def test_undecided_search_reports_the_kernel(capsys, star_file):
     assert stats["cover_size"] == 1 and stats["rule1_deleted"] == 3
 
 
+@pytest.mark.parametrize(
+    "budget, reason",
+    [
+        # the tuple search walks prefixes a thousand vertices deep
+        (["-k", "1003", "--budget-tuples", "5000"], "undecided: tuple budget exhausted"),
+        # the cover search for the counting bound branches a thousand levels deep
+        (["-k", "2000", "--time-limit", "0.5"], "undecided: time budget exhausted"),
+    ],
+    ids=["tuple-search", "cover-search"],
+)
+def test_a_search_deeper_than_the_recursion_limit_ends_undecided(capsys, tmp_path, budget, reason):
+    # a spider with 1000 legs of length 2 around vertex 0; nothing reduces it
+    legs = range(1, 1001)
+    spider = Graph(2001, [(0, i) for i in legs] + [(i, 1000 + i) for i in legs])
+    path = tmp_path / "spider.txt"
+    path.write_text(serialize_graph(spider))
+    code, out, _ = run(capsys, "solve", str(path), "--variant", "dual-min", *budget)
+    assert code == 2
+    rep = report_of(out)
+    assert (rep["outcome"], rep["reason"]) == ("undecided", reason)
+
+
 def test_unexpected_exception_exits_internal(capsys, c4_file, monkeypatch):
     import lineal.cli as cli
 

@@ -20,3 +20,27 @@ def test_no_module_imports_a_private_name_of_another():
                 ]
     assert SOURCES
     assert offenders == []
+
+
+def test_no_function_in_lineal_calls_itself():
+    # a walk as deep as its input is a loop over an explicit stack, so the
+    # interpreter's recursion limit never decides how large an input may be
+    offenders = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for call in ast.walk(node):
+                if not isinstance(call, ast.Call):
+                    continue
+                f = call.func
+                if isinstance(f, ast.Name):
+                    name = f.id
+                elif isinstance(f, ast.Attribute) and getattr(f.value, "id", None) in ("self", "cls"):
+                    name = f.attr  # a method through its own instance or class
+                else:
+                    continue
+                if name == node.name:
+                    offenders.append(f"{path.name}:{call.lineno}: {node.name} calls itself")
+    assert SOURCES
+    assert offenders == []

@@ -142,6 +142,17 @@ def test_dfs_any_covers_the_root_component():
         dfs_any(Graph(2, []), 2)
 
 
+@given(connected_graphs(max_n=7))
+@settings(max_examples=100, deadline=None)
+def test_dfs_any_is_the_first_reference_run(g):
+    # the first run takes the lowest undiscovered neighbour at every step
+    for root in range(g.vertex_count):
+        parent, order = reference_dfs_runs(g, root)[0]
+        t = dfs_any(g, root)
+        assert t.root == root and list(t.parent.items()) == list(parent.items())
+        assert tuple(t.parent) == order  # the parent map lists the discovery order
+
+
 def test_internal_vertices_examples():
     assert tree(0, {0: None, 1: 0, 2: 1, 3: 2}).internal_count() == 3
     assert tree(0, {0: None, 1: 0, 2: 0, 3: 0}).internal_count() == 1
